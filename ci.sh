@@ -18,6 +18,7 @@ cargo test -q
 echo "== metrics invariants and goldens"
 cargo test -q -p bsdtrace --test metrics --test goldens
 cargo test -q -p cachesim --test sharing
+cargo test -q -p workload --test fleet --test bsdfs_pin
 
 echo "== bounded-memory smoke (streaming pipeline under ulimit -v)"
 # The streaming pipeline must generate, analyze, and replay a 2-hour

@@ -8,74 +8,157 @@
 //! block on disk (the property Section 6.3 of the paper notes composes
 //! well with a fixed-block-size cache).
 
+use std::ops::Range;
+
 use crate::error::{FsError, FsResult};
 
-/// A fragment bitmap for one cylinder group.
+/// A fragment bitmap for one cylinder group, with its FFS-style summary.
+///
+/// `frags_per_block` is a power of two no larger than 64, so a block's
+/// fragments always sit inside one bitmap word: a block is read with one
+/// shift and mask, and a bitmap word covers `64 / fpb` whole blocks.
 #[derive(Debug, Clone)]
 struct Group {
-    /// One bit per fragment; `true` = allocated.
+    /// One bit per fragment; `1` = allocated.
     bits: Vec<u64>,
     nfrags: u64,
+    fpb: u32,
     free: u64,
     /// Next block index to start searching from (in blocks).
     rotor: u64,
+    /// FFS's `cg_frsum`, kept per block: `frsum[r]` counts the blocks
+    /// whose longest free run is `r` fragments. `frsum[fpb]` is the
+    /// wholly free blocks, `frsum[0]` the full ones, and the slots in
+    /// between the partly used blocks.
+    frsum: Vec<u32>,
 }
 
 impl Group {
-    fn new(nfrags: u64) -> Self {
+    fn new(nfrags: u64, fpb: u32) -> Self {
+        let mut frsum = vec![0; fpb as usize + 1];
+        frsum[fpb as usize] = (nfrags / fpb as u64) as u32;
         Group {
             bits: vec![0; nfrags.div_ceil(64) as usize],
             nfrags,
+            fpb,
             free: nfrags,
             rotor: 0,
+            frsum,
         }
+    }
+
+    fn blocks(&self) -> u64 {
+        self.nfrags / self.fpb as u64
+    }
+
+    /// The low `fpb` bits: one block's worth of fragments.
+    fn block_mask(&self) -> u64 {
+        u64::MAX >> (64 - self.fpb)
     }
 
     fn get(&self, i: u64) -> bool {
         self.bits[(i / 64) as usize] >> (i % 64) & 1 == 1
     }
 
-    fn set(&mut self, i: u64, v: bool) {
-        let w = (i / 64) as usize;
-        let m = 1u64 << (i % 64);
-        let was = self.bits[w] & m != 0;
-        if v {
-            self.bits[w] |= m;
-        } else {
-            self.bits[w] &= !m;
-        }
-        match (was, v) {
-            (false, true) => self.free -= 1,
-            (true, false) => self.free += 1,
-            _ => {}
-        }
+    /// Block `b`'s allocation bits, its first fragment in bit 0.
+    fn window(&self, b: u64) -> u64 {
+        let base = b * self.fpb as u64;
+        self.bits[(base / 64) as usize] >> (base % 64) & self.block_mask()
     }
 
-    /// Returns the first offset within block-window `b` (of `fpb` frags)
-    /// holding `k` consecutive free fragments, if any.
-    fn find_run_in_block(&self, b: u64, fpb: u32, k: u32) -> Option<u64> {
-        let base = b * fpb as u64;
-        if base + fpb as u64 > self.nfrags {
-            return None;
+    /// The longest run of free fragments in a block window: the
+    /// block's [`Group::frsum`] slot.
+    fn longest_free_run(&self, window: u64) -> usize {
+        let mut run = !window & self.block_mask();
+        let mut n = 0;
+        while run != 0 {
+            run &= run >> 1;
+            n += 1;
         }
-        let mut run = 0u32;
-        for off in 0..fpb {
-            if self.get(base + off as u64) {
-                run = 0;
-            } else {
-                run += 1;
-                if run == k {
-                    return Some(base + (off + 1 - k) as u64);
+        n
+    }
+
+    /// The offset of the first run of `k` free fragments in a block
+    /// window: bit `i` of `starts` survives only if fragments `i..i+k`
+    /// are all free.
+    fn first_free_run(&self, window: u64, k: u32) -> Option<u32> {
+        let free = !window & self.block_mask();
+        let mut starts = free;
+        for i in 1..k {
+            starts &= free >> i;
+        }
+        (starts != 0).then(|| starts.trailing_zeros())
+    }
+
+    /// `true` if some block's longest free run is in `slots`.
+    fn summary_has(&self, slots: Range<usize>) -> bool {
+        self.frsum[slots].iter().any(|&n| n > 0)
+    }
+
+    /// Marks `k` fragments from `local` allocated or free, keeping the
+    /// free count and the summary in step. The run must lie in one block.
+    fn set_run(&mut self, local: u64, k: u32, allocated: bool) {
+        let fpb = self.fpb as u64;
+        assert!(
+            local % fpb + k as u64 <= fpb,
+            "fragment run crosses a block boundary"
+        );
+        let b = local / fpb;
+        let old = self.longest_free_run(self.window(b));
+        self.frsum[old] -= 1;
+        let mask = (u64::MAX >> (64 - k)) << (local % 64);
+        let word = &mut self.bits[(local / 64) as usize];
+        if allocated {
+            debug_assert!(*word & mask == 0, "double allocation");
+            self.free -= (mask & !*word).count_ones() as u64;
+            *word |= mask;
+        } else {
+            debug_assert!(*word & mask == mask, "double free at fragment {local}");
+            self.free += (mask & *word).count_ones() as u64;
+            *word &= !mask;
+        }
+        let new = self.longest_free_run(self.window(b));
+        self.frsum[new] += 1;
+    }
+
+    /// The first block in `blocks` for which `fit` finds a run, as a
+    /// group-local fragment address. Bitmap words for which `skip` holds
+    /// are passed over whole, without looking at their blocks.
+    fn scan(
+        &self,
+        blocks: Range<u64>,
+        skip: impl Fn(u64) -> bool,
+        fit: impl Fn(u64) -> Option<u32>,
+    ) -> Option<u64> {
+        let fpb = self.fpb as u64;
+        let per_word = 64 / fpb;
+        let mut b = blocks.start;
+        while b < blocks.end {
+            let wi = b / per_word;
+            let word = self.bits[wi as usize];
+            let word_end = ((wi + 1) * per_word).min(blocks.end);
+            if !skip(word) {
+                for bb in b..word_end {
+                    let window = word >> (bb % per_word * fpb) & self.block_mask();
+                    if let Some(off) = fit(window) {
+                        return Some(bb * fpb + off as u64);
+                    }
                 }
             }
+            b = word_end;
         }
         None
     }
 
-    /// `true` if any fragment in block-window `b` is allocated.
-    fn block_partially_used(&self, b: u64, fpb: u32) -> bool {
-        let base = b * fpb as u64;
-        (0..fpb).any(|off| self.get(base + off as u64))
+    /// The group's fragment summary and free count recomputed from its
+    /// bitmap (for consistency checks).
+    fn recount(&self) -> (Vec<u32>, u64) {
+        let mut frsum = vec![0; self.fpb as usize + 1];
+        for b in 0..self.blocks() {
+            frsum[self.longest_free_run(self.window(b))] += 1;
+        }
+        let used: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
+        (frsum, self.nfrags - used)
     }
 }
 
@@ -95,10 +178,21 @@ impl FragAllocator {
     ///
     /// Each group is rounded down to whole blocks; leftover fragments at
     /// the end of the region are unused, as in a real mkfs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `fpb` is a power of two no larger than 64, and if a
+    /// group would hold no full block.
     pub fn new(fpb: u32, data_start: u64, data_frags: u64, cyl_groups: u32) -> Self {
+        assert!(
+            fpb.is_power_of_two() && fpb <= 64,
+            "frags per block must be a power of two <= 64"
+        );
         let per_group = data_frags / cyl_groups as u64 / fpb as u64 * fpb as u64;
         assert!(per_group >= fpb as u64, "cylinder group too small");
-        let groups = (0..cyl_groups).map(|_| Group::new(per_group)).collect();
+        let groups = (0..cyl_groups)
+            .map(|_| Group::new(per_group, fpb))
+            .collect();
         FragAllocator {
             fpb,
             data_start,
@@ -153,38 +247,46 @@ impl FragAllocator {
         Err(FsError::NoSpace)
     }
 
+    /// Both passes visit blocks in rotor order and take the first fit,
+    /// so they choose exactly what a bit-by-bit walk would. The summary
+    /// only rules a pass out when no block could satisfy it, and word
+    /// skipping only passes over words holding no candidate block.
     fn alloc_in_group(&mut self, gi: usize, k: u32) -> Option<u64> {
-        let blocks = self.frags_per_group / self.fpb as u64;
-        let rotor = self.groups[gi].rotor;
-        // Pass 1 (sub-block requests only): pack into partially used blocks.
-        if k < self.fpb {
-            for bi in 0..blocks {
-                let b = (rotor + bi) % blocks;
-                let g = &self.groups[gi];
-                if g.block_partially_used(b, self.fpb) {
-                    if let Some(local) = g.find_run_in_block(b, self.fpb, k) {
-                        return Some(self.take(gi, b, local, k));
-                    }
-                }
-            }
+        let g = &self.groups[gi];
+        let fpb = self.fpb as usize;
+        let rotor_order = [g.rotor..g.blocks(), 0..g.rotor];
+        let mut found = None;
+        // Pass 1 (sub-block requests only): pack into partially used
+        // blocks. A word of all-free or all-full blocks holds none.
+        if g.summary_has(k as usize..fpb) {
+            found = rotor_order.iter().find_map(|blocks| {
+                g.scan(
+                    blocks.clone(),
+                    |word| word == 0 || word == u64::MAX,
+                    |window| match window {
+                        0 => None,
+                        _ => g.first_free_run(window, k),
+                    },
+                )
+            });
         }
         // Pass 2: any block with room.
-        for bi in 0..blocks {
-            let b = (rotor + bi) % blocks;
-            if let Some(local) = self.groups[gi].find_run_in_block(b, self.fpb, k) {
-                return Some(self.take(gi, b, local, k));
-            }
+        if found.is_none() && g.summary_has(k as usize..fpb + 1) {
+            found = rotor_order.iter().find_map(|blocks| {
+                g.scan(
+                    blocks.clone(),
+                    |word| word == u64::MAX,
+                    |window| g.first_free_run(window, k),
+                )
+            });
         }
-        None
+        Some(self.take(gi, found?, k))
     }
 
-    fn take(&mut self, gi: usize, block: u64, local: u64, k: u32) -> u64 {
+    fn take(&mut self, gi: usize, local: u64, k: u32) -> u64 {
         let g = &mut self.groups[gi];
-        for i in 0..k as u64 {
-            debug_assert!(!g.get(local + i), "double allocation");
-            g.set(local + i, true);
-        }
-        g.rotor = block;
+        g.set_run(local, k, true);
+        g.rotor = local / self.fpb as u64;
         self.addr(gi, local)
     }
 
@@ -192,15 +294,12 @@ impl FragAllocator {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if any fragment was already free —
-    /// double frees are file system bugs.
+    /// Panics if the run crosses a block boundary, and (in debug builds)
+    /// if any fragment was already free — double frees are file system
+    /// bugs.
     pub fn free(&mut self, addr: u64, k: u32) {
         let (gi, local) = self.locate(addr);
-        let g = &mut self.groups[gi];
-        for i in 0..k as u64 {
-            debug_assert!(g.get(local + i), "double free at {}", addr + i);
-            g.set(local + i, false);
-        }
+        self.groups[gi].set_run(local, k, false);
     }
 
     /// Tries to extend the run at `addr` from `old_k` to `new_k`
@@ -215,14 +314,13 @@ impl FragAllocator {
             return false;
         }
         let g = &mut self.groups[gi];
-        for i in old_k as u64..new_k as u64 {
-            if g.get(local + i) {
-                return false;
-            }
+        let tail = local + old_k as u64;
+        let grow = new_k - old_k;
+        let window = g.window(block_base / self.fpb as u64);
+        if window >> (tail - block_base) & (u64::MAX >> (64 - grow)) != 0 {
+            return false;
         }
-        for i in old_k as u64..new_k as u64 {
-            g.set(local + i, true);
-        }
+        g.set_run(tail, grow, true);
         true
     }
 
@@ -236,6 +334,22 @@ impl FragAllocator {
     pub fn is_allocated(&self, addr: u64, k: u32) -> bool {
         let (gi, local) = self.locate(addr);
         (0..k as u64).all(|i| self.groups[gi].get(local + i))
+    }
+
+    /// Recounts every group's fragment summary and free count from its
+    /// bitmap, failing on the first group whose kept copies disagree
+    /// (for consistency checks).
+    pub(crate) fn check_summary(&self) -> Result<(), &'static str> {
+        for g in &self.groups {
+            let (frsum, free) = g.recount();
+            if frsum != g.frsum {
+                return Err("fragment summary disagrees with bitmap");
+            }
+            if free != g.free {
+                return Err("free fragment count disagrees with bitmap");
+            }
+        }
+        Ok(())
     }
 }
 
@@ -317,6 +431,171 @@ impl InoAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The allocator before the fragment summary: both passes walk every
+    /// block from the rotor, testing one bit at a time. It is the oracle
+    /// [`FragAllocator::alloc`] must agree with, choice for choice.
+    impl FragAllocator {
+        fn alloc_by_scan(&mut self, pref_group: u32, k: u32) -> FsResult<u64> {
+            assert!(k >= 1 && k <= self.fpb, "extent size out of range");
+            let ngroups = self.groups.len();
+            for gi in 0..ngroups {
+                let g = (pref_group as usize + gi) % ngroups;
+                if let Some(addr) = self.alloc_in_group_by_scan(g, k) {
+                    return Ok(addr);
+                }
+            }
+            Err(FsError::NoSpace)
+        }
+
+        fn alloc_in_group_by_scan(&mut self, gi: usize, k: u32) -> Option<u64> {
+            let blocks = self.frags_per_group / self.fpb as u64;
+            let rotor = self.groups[gi].rotor;
+            if k < self.fpb {
+                for bi in 0..blocks {
+                    let b = (rotor + bi) % blocks;
+                    let g = &self.groups[gi];
+                    if block_partially_used(g, b) {
+                        if let Some(local) = find_run_in_block(g, b, k) {
+                            return Some(self.take(gi, local, k));
+                        }
+                    }
+                }
+            }
+            for bi in 0..blocks {
+                let b = (rotor + bi) % blocks;
+                if let Some(local) = find_run_in_block(&self.groups[gi], b, k) {
+                    return Some(self.take(gi, local, k));
+                }
+            }
+            None
+        }
+    }
+
+    /// The first offset within block `b` holding `k` consecutive free
+    /// fragments, if any.
+    fn find_run_in_block(g: &Group, b: u64, k: u32) -> Option<u64> {
+        let base = b * g.fpb as u64;
+        let mut run = 0u32;
+        for off in 0..g.fpb {
+            if g.get(base + off as u64) {
+                run = 0;
+            } else {
+                run += 1;
+                if run == k {
+                    return Some(base + (off + 1 - k) as u64);
+                }
+            }
+        }
+        None
+    }
+
+    /// `true` if any fragment in block `b` is allocated.
+    fn block_partially_used(g: &Group, b: u64) -> bool {
+        let base = b * g.fpb as u64;
+        (0..g.fpb).any(|off| g.get(base + off as u64))
+    }
+
+    /// One step of the oracle workload; operands are reduced modulo the
+    /// live state when the step runs.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Alloc { pref: u32, k: u32 },
+        Free(usize),
+        Extend(usize, u32),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u32..8, 1u32..=64).prop_map(|(pref, k)| Step::Alloc { pref, k }),
+            (0u32..8, 1u32..=64).prop_map(|(pref, k)| Step::Alloc { pref, k }),
+            any::<usize>().prop_map(Step::Free),
+            (any::<usize>(), 1u32..=64).prop_map(|(i, k)| Step::Extend(i, k)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The summary-driven allocator returns the same address (or
+        /// `NoSpace`) as the bit-by-bit scan for every request, under
+        /// random alloc / free / extend-in-place sequences. Geometries
+        /// cover 1 to 8 fragments per block, groups whose block count is
+        /// not a multiple of a bitmap word's blocks, and small regions
+        /// that fill up.
+        #[test]
+        fn alloc_matches_bit_scan(
+            fpb_log in 0u32..4,
+            blocks_per_group in 1u64..90,
+            ngroups in 1u32..4,
+            steps in prop::collection::vec(arb_step(), 1..400),
+        ) {
+            let fpb = 1u32 << fpb_log;
+            let data = blocks_per_group * fpb as u64 * ngroups as u64;
+            let mut fast = FragAllocator::new(fpb, 7, data, ngroups);
+            let mut scan = fast.clone();
+            let mut live: Vec<(u64, u32)> = Vec::new();
+            for step in steps {
+                match step {
+                    Step::Alloc { pref, k } => {
+                        let k = 1 + (k - 1) % fpb;
+                        let got = fast.alloc(pref % ngroups, k);
+                        prop_assert_eq!(got, scan.alloc_by_scan(pref % ngroups, k));
+                        if let Ok(addr) = got {
+                            live.push((addr, k));
+                        }
+                    }
+                    Step::Free(i) if !live.is_empty() => {
+                        let (addr, k) = live.swap_remove(i % live.len());
+                        fast.free(addr, k);
+                        scan.free(addr, k);
+                    }
+                    Step::Extend(i, grow) if !live.is_empty() => {
+                        let i = i % live.len();
+                        let (addr, k) = live[i];
+                        if k < fpb {
+                            let new_k = k + 1 + (grow - 1) % (fpb - k);
+                            let ok = fast.extend_in_place(addr, k, new_k);
+                            prop_assert_eq!(ok, scan.extend_in_place(addr, k, new_k));
+                            if ok {
+                                live[i].1 = new_k;
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(fast.free_frags(), scan.free_frags());
+                prop_assert!(fast.check_summary().is_ok());
+            }
+            for (f, s) in fast.groups.iter().zip(&scan.groups) {
+                prop_assert_eq!(&f.bits, &s.bits);
+            }
+        }
+    }
+
+    #[test]
+    fn word_sized_blocks_allocate_and_summarize() {
+        // fpb = 64: one block per bitmap word.
+        let mut a = FragAllocator::new(64, 0, 64 * 5, 1);
+        let x = a.alloc(0, 3).unwrap();
+        let y = a.alloc(0, 64).unwrap();
+        assert_eq!((x, y), (0, 64));
+        assert!(a.extend_in_place(x, 3, 64));
+        a.free(y, 64);
+        assert_eq!(a.alloc(0, 10).unwrap(), 64);
+        assert_eq!(a.free_frags(), 64 * 5 - 64 - 10);
+        a.check_summary().unwrap();
+    }
+
+    #[test]
+    fn check_summary_catches_a_stale_summary() {
+        let mut a = alloc4();
+        a.alloc(0, 1).unwrap();
+        a.check_summary().unwrap();
+        a.groups[0].frsum[4] += 1;
+        assert!(a.check_summary().is_err());
+    }
 
     fn alloc4() -> FragAllocator {
         // data_start 16, 64 data frags, 2 groups of 32, fpb 4.

@@ -12,8 +12,7 @@
 //! inode fragments, indirect blocks, and directory blocks. Comparing the
 //! two is the paper's Section 6.4 exercise.
 
-use std::collections::HashMap;
-
+use fstrace::hash::FastMap;
 use obs::{Counter, Registry};
 
 use crate::disk::Disk;
@@ -120,19 +119,36 @@ impl BufCounters {
     }
 }
 
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident buffer, or a free slot keeping its storage
+/// for the next fetch.
 struct Buf {
+    frag: u64,
     nfrags: u32,
     data: Box<[u8]>,
     dirty: bool,
-    last_used: u64,
+    /// Neighbours in the recency list: towards the most recently used
+    /// end, and towards the least.
+    newer: u32,
+    older: u32,
 }
 
 /// An LRU cache of disk extents with configurable write policy.
+///
+/// Buffers live in a slab, found by fragment address through `index`
+/// and threaded on an intrusive doubly linked recency list, so a hit,
+/// a fetch and an eviction are all O(1). The list orders buffers by
+/// last use exactly as a "least recent `last_used` stamp" search would,
+/// so the victims are the same ones.
 pub struct BufCache {
     capacity: u64,
     cur_bytes: u64,
-    map: HashMap<u64, Buf>,
-    seq: u64,
+    slab: Vec<Buf>,
+    free_slots: Vec<u32>,
+    index: FastMap<u64, u32>,
+    mru: u32,
+    lru: u32,
     policy: BufWritePolicy,
     last_flush_ms: u64,
     stats: BufCounters,
@@ -144,8 +160,11 @@ impl BufCache {
         BufCache {
             capacity,
             cur_bytes: 0,
-            map: HashMap::new(),
-            seq: 0,
+            slab: Vec::new(),
+            free_slots: Vec::new(),
+            index: FastMap::default(),
+            mru: NIL,
+            lru: NIL,
             policy,
             last_flush_ms: 0,
             stats: BufCounters::default(),
@@ -164,12 +183,12 @@ impl BufCache {
 
     /// Number of buffers resident.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// `true` if no buffers are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Activity counters (a point-in-time snapshot of the live cells).
@@ -184,52 +203,114 @@ impl BufCache {
         self.stats.register(registry, prefix);
     }
 
-    fn touch(&mut self, frag: u64) {
-        self.seq += 1;
-        let seq = self.seq;
-        if let Some(b) = self.map.get_mut(&frag) {
-            b.last_used = seq;
+    fn unlink(&mut self, i: u32) {
+        let (newer, older) = {
+            let b = &self.slab[i as usize];
+            (b.newer, b.older)
+        };
+        match newer {
+            NIL => self.mru = older,
+            n => self.slab[n as usize].older = older,
+        }
+        match older {
+            NIL => self.lru = newer,
+            o => self.slab[o as usize].newer = newer,
         }
     }
 
-    fn fetch(&mut self, disk: &mut Disk, frag: u64, nfrags: u32, read: bool) {
-        debug_assert!(!self.map.contains_key(&frag));
+    fn push_mru(&mut self, i: u32) {
+        let old = self.mru;
+        {
+            let b = &mut self.slab[i as usize];
+            b.newer = NIL;
+            b.older = old;
+        }
+        match old {
+            NIL => self.lru = i,
+            o => self.slab[o as usize].newer = i,
+        }
+        self.mru = i;
+    }
+
+    fn touch(&mut self, i: u32) {
+        if self.mru != i {
+            self.unlink(i);
+            self.push_mru(i);
+        }
+    }
+
+    /// Takes slot `i` out of the cache, leaving its storage for reuse.
+    fn release(&mut self, i: u32) -> &Buf {
+        self.unlink(i);
+        self.free_slots.push(i);
+        let b = &self.slab[i as usize];
+        self.index.remove(&b.frag);
+        self.cur_bytes -= b.data.len() as u64;
+        b
+    }
+
+    fn fetch(&mut self, disk: &mut Disk, frag: u64, nfrags: u32, read: bool) -> u32 {
+        debug_assert!(!self.index.contains_key(&frag));
         let len = nfrags as usize * disk.frag_size() as usize;
-        let mut data = vec![0u8; len].into_boxed_slice();
+        let i = match self.free_slots.pop() {
+            Some(i) => {
+                let b = &mut self.slab[i as usize];
+                if b.data.len() != len {
+                    b.data = vec![0u8; len].into_boxed_slice();
+                } else if !read {
+                    b.data.fill(0);
+                }
+                b.frag = frag;
+                b.nfrags = nfrags;
+                b.dirty = false;
+                i
+            }
+            None => {
+                self.slab.push(Buf {
+                    frag,
+                    nfrags,
+                    data: vec![0u8; len].into_boxed_slice(),
+                    dirty: false,
+                    newer: NIL,
+                    older: NIL,
+                });
+                (self.slab.len() - 1) as u32
+            }
+        };
         if read {
-            disk.read_extent(frag, nfrags, &mut data);
+            disk.read_extent(frag, nfrags, &mut self.slab[i as usize].data);
             self.stats.disk_reads.inc();
         }
-        self.seq += 1;
         self.cur_bytes += len as u64;
-        self.map.insert(
-            frag,
-            Buf {
-                nfrags,
-                data,
-                dirty: false,
-                last_used: self.seq,
-            },
-        );
-        self.evict_excess(disk, frag);
+        self.index.insert(frag, i);
+        self.push_mru(i);
+        self.evict_excess(disk, i);
+        i
     }
 
-    fn evict_excess(&mut self, disk: &mut Disk, keep: u64) {
-        while self.cur_bytes > self.capacity && self.map.len() > 1 {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(&k, _)| k != keep)
-                .min_by_key(|(_, b)| b.last_used)
-                .map(|(&k, _)| k);
-            let Some(k) = victim else { break };
-            let b = self.map.remove(&k).expect("victim exists");
+    fn evict_excess(&mut self, disk: &mut Disk, keep: u32) {
+        while self.cur_bytes > self.capacity && self.index.len() > 1 {
+            let victim = match self.lru {
+                v if v == keep => self.slab[v as usize].newer,
+                v => v,
+            };
+            let b = self.release(victim);
             if b.dirty {
-                disk.write_extent(k, b.nfrags, &b.data);
+                disk.write_extent(b.frag, b.nfrags, &b.data);
                 self.stats.disk_writes.inc();
             }
-            self.cur_bytes -= b.data.len() as u64;
         }
+    }
+
+    /// The resident slot for `frag`, marked most recently used.
+    fn lookup(&mut self, frag: u64, nfrags: u32) -> Option<u32> {
+        let i = *self.index.get(&frag)?;
+        debug_assert_eq!(
+            self.slab[i as usize].nfrags, nfrags,
+            "extent size changed without invalidation"
+        );
+        self.touch(i);
+        Some(i)
     }
 
     /// Reads an extent through the cache, passing its bytes to `f`.
@@ -241,18 +322,17 @@ impl BufCache {
         f: impl FnOnce(&[u8]) -> R,
     ) -> R {
         self.stats.logical_reads.inc();
-        match self.map.get(&frag) {
-            Some(b) => {
-                debug_assert_eq!(b.nfrags, nfrags, "extent size changed without invalidation");
+        let i = match self.lookup(frag, nfrags) {
+            Some(i) => {
                 self.stats.read_hits.inc();
-                self.touch(frag);
+                i
             }
             None => {
                 self.stats.read_misses.inc();
-                self.fetch(disk, frag, nfrags, true);
+                self.fetch(disk, frag, nfrags, true)
             }
-        }
-        f(&self.map[&frag].data)
+        };
+        f(&self.slab[i as usize].data)
     }
 
     /// Modifies an extent through the cache.
@@ -270,19 +350,16 @@ impl BufCache {
         f: impl FnOnce(&mut [u8]),
     ) {
         self.stats.logical_writes.inc();
-        match self.map.get(&frag) {
-            Some(b) => {
-                debug_assert_eq!(b.nfrags, nfrags, "extent size changed without invalidation");
-                self.touch(frag);
-            }
+        let i = match self.lookup(frag, nfrags) {
+            Some(i) => i,
             None => {
                 if whole {
                     self.stats.write_fetches_elided.inc();
                 }
-                self.fetch(disk, frag, nfrags, !whole);
+                self.fetch(disk, frag, nfrags, !whole)
             }
-        }
-        let b = self.map.get_mut(&frag).expect("just fetched");
+        };
+        let b = &mut self.slab[i as usize];
         f(&mut b.data);
         match self.policy {
             BufWritePolicy::WriteThrough => {
@@ -297,26 +374,26 @@ impl BufCache {
     /// Drops the buffer at `frag` without writing it back; dirty data is
     /// lost on purpose (the extent was freed).
     pub fn invalidate(&mut self, frag: u64) {
-        if let Some(b) = self.map.remove(&frag) {
-            if b.dirty {
+        if let Some(&i) = self.index.get(&frag) {
+            if self.release(i).dirty {
                 self.stats.dirty_invalidated.inc();
             }
-            self.cur_bytes -= b.data.len() as u64;
         }
     }
 
-    /// Writes all dirty buffers to disk (the `sync` system call).
+    /// Writes all dirty buffers to disk (the `sync` system call), in
+    /// fragment-address order.
     pub fn sync(&mut self, disk: &mut Disk, now_ms: u64) {
-        let mut keys: Vec<u64> = self
-            .map
+        let mut dirty: Vec<(u64, u32)> = self
+            .index
             .iter()
-            .filter(|(_, b)| b.dirty)
-            .map(|(&k, _)| k)
+            .filter(|&(_, &i)| self.slab[i as usize].dirty)
+            .map(|(&frag, &i)| (frag, i))
             .collect();
-        keys.sort_unstable();
-        for k in keys {
-            let b = self.map.get_mut(&k).expect("key exists");
-            disk.write_extent(k, b.nfrags, &b.data);
+        dirty.sort_unstable();
+        for (frag, i) in dirty {
+            let b = &mut self.slab[i as usize];
+            disk.write_extent(frag, b.nfrags, &b.data);
             self.stats.disk_writes.inc();
             b.dirty = false;
         }
@@ -335,13 +412,274 @@ impl BufCache {
 
     /// Number of dirty buffers resident (for tests and reports).
     pub fn dirty_count(&self) -> usize {
-        self.map.values().filter(|b| b.dirty).count()
+        self.index
+            .values()
+            .filter(|&&i| self.slab[i as usize].dirty)
+            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The buffer cache before the slab LRU: a map of buffers stamped
+    /// with a use sequence number, evicting the least recent stamp by a
+    /// search of the whole map. It is the oracle [`BufCache`] must agree
+    /// with, counter for counter and byte for byte.
+    struct StampCache {
+        capacity: u64,
+        cur_bytes: u64,
+        map: HashMap<u64, StampBuf>,
+        seq: u64,
+        policy: BufWritePolicy,
+        last_flush_ms: u64,
+        stats: BufCacheStats,
+    }
+
+    struct StampBuf {
+        nfrags: u32,
+        data: Box<[u8]>,
+        dirty: bool,
+        last_used: u64,
+    }
+
+    impl StampCache {
+        fn new(capacity: u64, policy: BufWritePolicy) -> Self {
+            StampCache {
+                capacity,
+                cur_bytes: 0,
+                map: HashMap::new(),
+                seq: 0,
+                policy,
+                last_flush_ms: 0,
+                stats: BufCacheStats::default(),
+            }
+        }
+
+        fn touch(&mut self, frag: u64) {
+            self.seq += 1;
+            let seq = self.seq;
+            if let Some(b) = self.map.get_mut(&frag) {
+                b.last_used = seq;
+            }
+        }
+
+        fn fetch(&mut self, disk: &mut Disk, frag: u64, nfrags: u32, read: bool) {
+            let len = nfrags as usize * disk.frag_size() as usize;
+            let mut data = vec![0u8; len].into_boxed_slice();
+            if read {
+                disk.read_extent(frag, nfrags, &mut data);
+                self.stats.disk_reads += 1;
+            }
+            self.seq += 1;
+            self.cur_bytes += len as u64;
+            let buf = StampBuf {
+                nfrags,
+                data,
+                dirty: false,
+                last_used: self.seq,
+            };
+            self.map.insert(frag, buf);
+            while self.cur_bytes > self.capacity && self.map.len() > 1 {
+                let victim = self
+                    .map
+                    .iter()
+                    .filter(|(&k, _)| k != frag)
+                    .min_by_key(|(_, b)| b.last_used)
+                    .map(|(&k, _)| k);
+                let Some(k) = victim else { break };
+                let b = self.map.remove(&k).expect("victim exists");
+                if b.dirty {
+                    disk.write_extent(k, b.nfrags, &b.data);
+                    self.stats.disk_writes += 1;
+                }
+                self.cur_bytes -= b.data.len() as u64;
+            }
+        }
+
+        fn read(&mut self, disk: &mut Disk, frag: u64, nfrags: u32) -> Vec<u8> {
+            self.stats.logical_reads += 1;
+            if self.map.contains_key(&frag) {
+                self.stats.read_hits += 1;
+                self.touch(frag);
+            } else {
+                self.stats.read_misses += 1;
+                self.fetch(disk, frag, nfrags, true);
+            }
+            self.map[&frag].data.to_vec()
+        }
+
+        fn modify(
+            &mut self,
+            disk: &mut Disk,
+            frag: u64,
+            nfrags: u32,
+            whole: bool,
+            at: usize,
+            v: u8,
+        ) {
+            self.stats.logical_writes += 1;
+            if self.map.contains_key(&frag) {
+                self.touch(frag);
+            } else {
+                if whole {
+                    self.stats.write_fetches_elided += 1;
+                }
+                self.fetch(disk, frag, nfrags, !whole);
+            }
+            let b = self.map.get_mut(&frag).expect("just fetched");
+            let len = b.data.len();
+            b.data[at % len] = v;
+            match self.policy {
+                BufWritePolicy::WriteThrough => {
+                    disk.write_extent(frag, b.nfrags, &b.data);
+                    self.stats.disk_writes += 1;
+                    b.dirty = false;
+                }
+                _ => b.dirty = true,
+            }
+        }
+
+        fn invalidate(&mut self, frag: u64) {
+            if let Some(b) = self.map.remove(&frag) {
+                if b.dirty {
+                    self.stats.dirty_invalidated += 1;
+                }
+                self.cur_bytes -= b.data.len() as u64;
+            }
+        }
+
+        fn sync(&mut self, disk: &mut Disk, now_ms: u64) {
+            let mut keys: Vec<u64> = self
+                .map
+                .iter()
+                .filter(|(_, b)| b.dirty)
+                .map(|(&k, _)| k)
+                .collect();
+            keys.sort_unstable();
+            for k in keys {
+                let b = self.map.get_mut(&k).expect("key exists");
+                disk.write_extent(k, b.nfrags, &b.data);
+                self.stats.disk_writes += 1;
+                b.dirty = false;
+            }
+            self.last_flush_ms = now_ms;
+        }
+
+        fn maybe_flush(&mut self, disk: &mut Disk, now_ms: u64) {
+            if let BufWritePolicy::FlushBack { interval_ms } = self.policy {
+                if now_ms.saturating_sub(self.last_flush_ms) >= interval_ms {
+                    self.sync(disk, now_ms);
+                }
+            }
+        }
+    }
+
+    /// One cache call of the oracle workload. Extent `e` lives at
+    /// fragment `4 * e` and holds one to four fragments; its size only
+    /// changes across an invalidation, as in the file system.
+    #[derive(Debug, Clone)]
+    enum Call {
+        Read(u64),
+        Modify {
+            e: u64,
+            whole: bool,
+            at: usize,
+            v: u8,
+        },
+        Invalidate {
+            e: u64,
+            resize: u32,
+        },
+        Sync,
+        MaybeFlush(u64),
+    }
+
+    fn arb_call() -> impl Strategy<Value = Call> {
+        prop_oneof![
+            (0u64..24).prop_map(Call::Read),
+            (0u64..24).prop_map(Call::Read),
+            (0u64..24, any::<bool>(), 0usize..256, any::<u8>())
+                .prop_map(|(e, whole, at, v)| Call::Modify { e, whole, at, v }),
+            (0u64..24, any::<bool>(), 0usize..256, any::<u8>())
+                .prop_map(|(e, whole, at, v)| Call::Modify { e, whole, at, v }),
+            (0u64..24, 1u32..=4).prop_map(|(e, resize)| Call::Invalidate { e, resize }),
+            Just(Call::Sync),
+            (0u64..20_000).prop_map(Call::MaybeFlush),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The slab LRU makes the same hits, fetches, elisions,
+        /// evictions and write-backs as the stamp-search cache, under
+        /// all three write policies and mixed extent sizes: identical
+        /// counters after every call and identical disk bytes at the end.
+        #[test]
+        fn matches_stamp_search_oracle(
+            policy in 0u32..3,
+            cap_frags in 4u64..40,
+            sizes in prop::collection::vec(1u32..=4, 24..25),
+            calls in prop::collection::vec(arb_call(), 1..400),
+        ) {
+            const FRAG: u32 = 64;
+            let policy = match policy {
+                0 => BufWritePolicy::WriteThrough,
+                1 => BufWritePolicy::FlushBack { interval_ms: 30_000 },
+                _ => BufWritePolicy::DelayedWrite,
+            };
+            let mut sizes = sizes;
+            let (mut disk, mut ref_disk) = (Disk::new(FRAG, 96), Disk::new(FRAG, 96));
+            let capacity = cap_frags * FRAG as u64;
+            let mut cache = BufCache::new(capacity, policy);
+            let mut oracle = StampCache::new(capacity, policy);
+            let mut now = 0u64;
+            for call in calls {
+                match call {
+                    Call::Read(e) => {
+                        let n = sizes[e as usize];
+                        let got = cache.read(&mut disk, 4 * e, n, |b| b.to_vec());
+                        prop_assert_eq!(got, oracle.read(&mut ref_disk, 4 * e, n));
+                    }
+                    Call::Modify { e, whole, at, v } => {
+                        let n = sizes[e as usize];
+                        cache.modify(&mut disk, 4 * e, n, whole, |b| {
+                            let len = b.len();
+                            b[at % len] = v;
+                        });
+                        oracle.modify(&mut ref_disk, 4 * e, n, whole, at, v);
+                    }
+                    Call::Invalidate { e, resize } => {
+                        cache.invalidate(4 * e);
+                        oracle.invalidate(4 * e);
+                        sizes[e as usize] = resize;
+                    }
+                    Call::Sync => {
+                        cache.sync(&mut disk, now);
+                        oracle.sync(&mut ref_disk, now);
+                    }
+                    Call::MaybeFlush(dt) => {
+                        now += dt;
+                        cache.maybe_flush(&mut disk, now);
+                        oracle.maybe_flush(&mut ref_disk, now);
+                    }
+                }
+                prop_assert_eq!(cache.stats(), oracle.stats);
+                prop_assert_eq!(disk.stats(), ref_disk.stats());
+                prop_assert_eq!(cache.len(), oracle.map.len());
+                prop_assert_eq!(cache.resident_bytes(), oracle.cur_bytes);
+            }
+            prop_assert_eq!(
+                cache.dirty_count(),
+                oracle.map.values().filter(|b| b.dirty).count()
+            );
+            prop_assert_eq!(disk.peek(0, 96), ref_disk.peek(0, 96));
+        }
+    }
 
     fn setup(capacity: u64, policy: BufWritePolicy) -> (Disk, BufCache) {
         (Disk::new(1024, 64), BufCache::new(capacity, policy))

@@ -191,28 +191,63 @@ impl NameCounters {
 /// with hit behavior close to true LRU.
 struct NameCache {
     cap: usize,
-    new: HashMap<(Ino, String), Ino>,
-    old: HashMap<(Ino, String), Ino>,
+    new: NameGen,
+    old: NameGen,
     stats: NameCounters,
+}
+
+/// One name cache generation, keyed by directory and then by name so a
+/// lookup borrows the name rather than building an owned key.
+#[derive(Default)]
+struct NameGen {
+    dirs: HashMap<Ino, HashMap<String, Ino>>,
+    /// Entries across all directories.
+    len: usize,
+}
+
+impl NameGen {
+    fn get(&self, dirino: Ino, name: &str) -> Option<Ino> {
+        self.dirs.get(&dirino)?.get(name).copied()
+    }
+
+    fn insert(&mut self, dirino: Ino, name: &str, ino: Ino) {
+        let names = self.dirs.entry(dirino).or_default();
+        if names.insert(name.to_string(), ino).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, dirino: Ino, name: &str) {
+        if let Some(names) = self.dirs.get_mut(&dirino) {
+            if names.remove(name).is_some() {
+                self.len -= 1;
+            }
+        }
+    }
+
+    fn purge_dir(&mut self, dirino: Ino) {
+        if let Some(names) = self.dirs.remove(&dirino) {
+            self.len -= names.len();
+        }
+    }
 }
 
 impl NameCache {
     fn new(cap: usize) -> Self {
         NameCache {
             cap: cap.max(2),
-            new: HashMap::new(),
-            old: HashMap::new(),
+            new: NameGen::default(),
+            old: NameGen::default(),
             stats: NameCounters::default(),
         }
     }
 
     fn lookup(&mut self, dirino: Ino, name: &str) -> Option<Ino> {
-        let key = (dirino, name.to_string());
-        if let Some(&ino) = self.new.get(&key) {
+        if let Some(ino) = self.new.get(dirino, name) {
             self.stats.hits.inc();
             return Some(ino);
         }
-        if let Some(&ino) = self.old.get(&key) {
+        if let Some(ino) = self.old.get(dirino, name) {
             self.stats.hits.inc();
             self.insert(dirino, name, ino); // Promote.
             return Some(ino);
@@ -222,21 +257,20 @@ impl NameCache {
     }
 
     fn insert(&mut self, dirino: Ino, name: &str, ino: Ino) {
-        if self.new.len() >= self.cap / 2 {
+        if self.new.len >= self.cap / 2 {
             self.old = std::mem::take(&mut self.new);
         }
-        self.new.insert((dirino, name.to_string()), ino);
+        self.new.insert(dirino, name, ino);
     }
 
     fn invalidate(&mut self, dirino: Ino, name: &str) {
-        let key = (dirino, name.to_string());
-        self.new.remove(&key);
-        self.old.remove(&key);
+        self.new.remove(dirino, name);
+        self.old.remove(dirino, name);
     }
 
     fn purge_dir(&mut self, dirino: Ino) {
-        self.new.retain(|(d, _), _| *d != dirino);
-        self.old.retain(|(d, _), _| *d != dirino);
+        self.new.purge_dir(dirino);
+        self.old.purge_dir(dirino);
     }
 }
 
@@ -1466,7 +1500,9 @@ impl Fs {
     /// the number of live files found. Used by tests ("fsck-lite").
     ///
     /// Checks: every reachable extent is marked allocated, extents do not
-    /// overlap, and file sizes are consistent with their block maps.
+    /// overlap, file sizes are consistent with their block maps, and each
+    /// cylinder group's fragment summary and free count match a recount
+    /// of its bitmap.
     pub fn check_consistency(&mut self) -> FsResult<u64> {
         let mut stack = vec![ROOT_INO];
         let mut seen_extents: HashMap<u64, u32> = HashMap::new();
@@ -1522,6 +1558,7 @@ impl Fs {
                 }
             }
         }
+        self.falloc.check_summary().map_err(FsError::Corrupt)?;
         let _ = self.data_start;
         Ok(files)
     }

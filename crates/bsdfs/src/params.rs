@@ -107,6 +107,10 @@ impl FsParams {
         if self.frags_per_block == 0 || !self.frags_per_block.is_power_of_two() {
             return Err("frags_per_block must be a positive power of two");
         }
+        if self.frags_per_block > 64 {
+            // A block's fragments must fit in one allocator bitmap word.
+            return Err("frags_per_block must be at most 64");
+        }
         if self.cyl_groups == 0 {
             return Err("cyl_groups must be positive");
         }
@@ -177,5 +181,12 @@ mod tests {
         let mut p = FsParams::small();
         p.bcache_bytes = 0;
         assert!(p.validate().is_err());
+
+        let mut p = FsParams::small();
+        p.frag_size = 64;
+        p.frags_per_block = 128;
+        assert!(p.validate().is_err());
+        p.frags_per_block = 64;
+        p.validate().unwrap();
     }
 }

@@ -574,8 +574,7 @@ fn run_command(
     };
     *left = left.saturating_sub(1);
     let left_after = *left;
-    let weights: Vec<f64> = profile.command_mix.iter().map(|&(_, w)| w).collect();
-    let kind = profile.command_mix[u.rng.weighted(&weights)].0;
+    let kind = profile.command_mix[u.rng.weighted(&profile.command_mix, |&(_, w)| w)].0;
     let mut ctx = Ctx {
         fs,
         ns,
@@ -663,16 +662,15 @@ fn step_daemon(
     now: u64,
 ) -> FsResult<()> {
     let mut t = now;
-    let paths: Vec<String> = ns.status.clone();
-    for path in paths {
+    for path in &ns.status {
         t += d.rng.range(20, 120);
         // rwhod removes the stale file and writes a fresh one.
-        match fs.unlink(&path, 0, t) {
+        match fs.unlink(path, 0, t) {
             Ok(()) | Err(FsError::NotFound) => {}
             Err(e) => return Err(e),
         }
         t += d.rng.range(5, 20);
-        let fd = fs.open(&path, OpenFlags::create_write(), 0, t)?;
+        let fd = fs.open(path, OpenFlags::create_write(), 0, t)?;
         t += d.rng.range(10, 40);
         fs.write(fd, d.rng.range(300, 1_500), t)?;
         t += d.rng.range(10, 40);

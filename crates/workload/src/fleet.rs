@@ -29,12 +29,15 @@
 //! tests in this crate and `tests/fleet.rs` enforce it.
 //!
 //! Workers rendezvous at a barrier after every epoch, so no machine
-//! runs more than one epoch ahead of the slowest — that bounds the
-//! merge's buffered-record memory to roughly one epoch of fleet-wide
-//! output plus reorder tails.
+//! runs more than one epoch ahead of the slowest, and the merge takes at
+//! most one batch from each ring per round — so however full the rings
+//! are when it gets to run, no machine's records reach the merge more
+//! than a batch ahead of the others'. Together they bound the merge's
+//! buffered-record memory to a couple of epochs of fleet-wide output
+//! plus reorder tails.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Barrier, OnceLock};
 use std::time::Duration;
 
@@ -44,6 +47,11 @@ use fstrace::{EventKind, FleetMerge, IdOffsets, RecordSink, TraceRecord};
 use crate::engine::{GenerateError, MachineSim, WorkloadConfig};
 use crate::profile::MachineProfile;
 use crate::rng::stream_seed;
+
+/// One epoch of one machine's output on its ring: the records that are
+/// final below the horizon (simulated ms), which is `u64::MAX` on the
+/// machine's last batch.
+type Batch = (u64, Vec<TraceRecord>);
 
 /// Id stride between machines in the merged trace: open and file ids
 /// get a huge stride (the per-machine id spaces are append-only and
@@ -220,8 +228,8 @@ fn fleet_machines_gauge() -> &'static obs::Gauge {
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.machines"))
 }
 
-/// The `workload.fleet.ring_occupancy_peak` gauge: most records drained
-/// from one machine's ring in a single merge visit.
+/// The `workload.fleet.ring_occupancy_peak` gauge: most records the
+/// merge took from one machine's ring in a single visit (one batch).
 fn ring_occupancy_gauge() -> &'static obs::Gauge {
     static CELL: OnceLock<obs::Gauge> = OnceLock::new();
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.ring_occupancy_peak"))
@@ -266,10 +274,10 @@ pub fn generate_fleet_into(
     let barrier = Barrier::new(workers);
     let unfinished = AtomicU64::new(n as u64);
     let progress: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mut txs: Vec<Option<SyncSender<Vec<TraceRecord>>>> = Vec::with_capacity(n);
+    let mut txs: Vec<Option<SyncSender<Batch>>> = Vec::with_capacity(n);
     let mut rxs = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = mpsc::sync_channel::<Vec<TraceRecord>>(config.ring_batches.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Batch>(config.ring_batches.max(1));
         txs.push(Some(tx));
         rxs.push(rx);
     }
@@ -284,7 +292,7 @@ pub fn generate_fleet_into(
         for w in 0..workers {
             let owned: Vec<usize> = (w..n).step_by(workers).collect();
             let worker = Worker { config, owned };
-            let mut slots: Vec<SyncSender<Vec<TraceRecord>>> = Vec::new();
+            let mut slots: Vec<SyncSender<Batch>> = Vec::new();
             for &m in &worker.owned {
                 slots.push(txs[m].take().expect("machine owned twice"));
             }
@@ -295,36 +303,39 @@ pub fn generate_fleet_into(
         }
         drop(txs);
 
-        // The merge loop: load progress BEFORE draining each ring, so a
-        // watermark is only applied after every record sent before it
-        // was stored has been pushed (senders send, then store).
+        // The merge loop takes at most one batch per ring per round and
+        // applies that batch's horizon. A ring found empty applies the
+        // machine's published progress instead, loaded BEFORE looking
+        // at the ring, so it is only applied after every record sent
+        // before it was stored has been pushed (senders send, then
+        // store). A ring whose sender is gone, once empty, is finished.
         let mut finished = vec![false; n];
+        let mut take = |merge: &mut FleetMerge, i: usize, (horizon, batch): Batch| {
+            ring_peak = ring_peak.max(batch.len() as u64);
+            for rec in &batch {
+                merge.push(i, rec);
+            }
+            horizon
+        };
         while finished.iter().any(|f| !f) {
             for i in 0..n {
                 if finished[i] {
                     continue;
                 }
                 let p = progress[i].load(Ordering::Acquire);
-                let mut drained = 0u64;
-                while let Ok(batch) = rxs[i].try_recv() {
-                    drained += batch.len() as u64;
-                    for rec in &batch {
-                        merge.push(i, rec);
-                    }
-                }
-                if drained > ring_peak {
-                    ring_peak = drained;
-                }
-                if p == u64::MAX {
-                    merge.finish_input(i);
-                    finished[i] = true;
-                } else {
-                    merge.set_progress(i, p);
-                }
+                let horizon = match rxs[i].try_recv() {
+                    Ok(batch) => take(&mut merge, i, batch),
+                    Err(TryRecvError::Empty) => p,
+                    Err(TryRecvError::Disconnected) => u64::MAX,
+                };
+                apply_horizon(&mut merge, &mut finished, i, horizon);
             }
+            // The spread among machines still running: one that has
+            // published its end may still have batches queued here.
             let snap: Vec<u64> = (0..n)
                 .filter(|&i| !finished[i])
-                .map(|i| progress[i].load(Ordering::Acquire).min(u64::MAX - 1))
+                .map(|i| progress[i].load(Ordering::Acquire))
+                .filter(|&p| p != u64::MAX)
                 .collect();
             if let (Some(&lo), Some(&hi)) = (snap.iter().min(), snap.iter().max()) {
                 lag_peak = lag_peak.max(hi - lo);
@@ -342,9 +353,8 @@ pub fn generate_fleet_into(
                             {
                                 match rxs[g].recv_timeout(Duration::from_millis(5)) {
                                     Ok(batch) => {
-                                        for rec in &batch {
-                                            merge.push(g, rec);
-                                        }
+                                        let horizon = take(&mut merge, g, batch);
+                                        apply_horizon(&mut merge, &mut finished, g, horizon);
                                     }
                                     Err(RecvTimeoutError::Timeout) => {}
                                     Err(RecvTimeoutError::Disconnected) => {
@@ -353,8 +363,7 @@ pub fn generate_fleet_into(
                                         // done (or its worker died), so
                                         // retire the input; the merge
                                         // must not wait on it.
-                                        merge.finish_input(g);
-                                        finished[g] = true;
+                                        apply_horizon(&mut merge, &mut finished, g, u64::MAX);
                                     }
                                 }
                             }
@@ -390,19 +399,29 @@ pub fn generate_fleet_into(
     })
 }
 
+/// Applies a machine's horizon to the merge: its progress, or at
+/// `u64::MAX` the end of its stream.
+fn apply_horizon(merge: &mut FleetMerge, finished: &mut [bool], i: usize, horizon: u64) {
+    if horizon == u64::MAX {
+        merge.finish_input(i);
+        finished[i] = true;
+    } else {
+        merge.set_progress(i, horizon);
+    }
+}
+
 impl Worker<'_> {
     /// Epoch loop: advance every owned machine to the next horizon,
     /// ship its finalized records, publish progress, and rendezvous.
     fn run(
         &self,
-        txs: Vec<SyncSender<Vec<TraceRecord>>>,
+        txs: Vec<SyncSender<Batch>>,
         barrier: &Barrier,
         unfinished: &AtomicU64,
         progress: &[AtomicU64],
     ) -> Result<Vec<MachineStats>, GenerateError> {
         let mut sims: Vec<Option<MachineSim>> = Vec::with_capacity(self.owned.len());
-        let mut txs: Vec<Option<SyncSender<Vec<TraceRecord>>>> =
-            txs.into_iter().map(Some).collect();
+        let mut txs: Vec<Option<SyncSender<Batch>>> = txs.into_iter().map(Some).collect();
         let mut stats = Vec::with_capacity(self.owned.len());
         let mut first_err: Option<GenerateError> = None;
         for &m in &self.owned {
@@ -463,7 +482,8 @@ impl Worker<'_> {
                 if !batch.is_empty() {
                     // A full ring blocks here: backpressure, not loss.
                     if let Some(tx) = txs[slot].as_ref() {
-                        let _ = tx.send(batch);
+                        let horizon = if done { u64::MAX } else { t };
+                        let _ = tx.send((horizon, batch));
                     }
                 }
                 if done {
@@ -497,7 +517,7 @@ impl Worker<'_> {
         &self,
         m: usize,
         slot: usize,
-        txs: &mut [Option<SyncSender<Vec<TraceRecord>>>],
+        txs: &mut [Option<SyncSender<Batch>>],
         progress: &[AtomicU64],
         unfinished: &AtomicU64,
     ) {
@@ -511,7 +531,7 @@ impl Worker<'_> {
     fn retire(
         &self,
         m: usize,
-        txs: &mut [Option<SyncSender<Vec<TraceRecord>>>],
+        txs: &mut [Option<SyncSender<Batch>>],
         progress: &[AtomicU64],
         unfinished: &AtomicU64,
     ) {

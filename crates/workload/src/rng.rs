@@ -64,22 +64,24 @@ impl Sampler {
         self.rng.gen::<f64>() < p
     }
 
-    /// Picks an index by weight.
+    /// Picks an index of `items` by the weight `weight` reads off each
+    /// (taking the weights from the items spares the caller building a
+    /// weight list on every draw).
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+    /// Panics if `items` is empty or the weights sum to zero.
+    pub fn weighted<T>(&mut self, items: &[T], weight: impl Fn(&T) -> f64) -> usize {
+        let total: f64 = items.iter().map(&weight).sum();
         assert!(total > 0.0, "weights must sum to a positive value");
         let mut x = self.rng.gen::<f64>() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            x -= w;
+        for (i, item) in items.iter().enumerate() {
+            x -= weight(item);
             if x <= 0.0 {
                 return i;
             }
         }
-        weights.len() - 1
+        items.len() - 1
     }
 
     /// Exponential variate with the given mean.
@@ -179,7 +181,7 @@ mod tests {
         let mut s = Sampler::new(6);
         let mut counts = [0u32; 3];
         for _ in 0..3_000 {
-            counts[s.weighted(&[1.0, 8.0, 1.0])] += 1;
+            counts[s.weighted(&[1.0, 8.0, 1.0], |&w| w)] += 1;
         }
         assert!(counts[1] > counts[0] * 4);
         assert!(counts[1] > counts[2] * 4);

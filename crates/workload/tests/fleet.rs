@@ -217,7 +217,8 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
     let mut txs = Vec::new();
     let mut rxs = Vec::new();
     for _ in 0..2 {
-        let (tx, rx) = mpsc::sync_channel::<Vec<TraceRecord>>(4);
+        // Each batch carries its epoch horizon, as in the fleet runner.
+        let (tx, rx) = mpsc::sync_channel::<(u64, Vec<TraceRecord>)>(4);
         txs.push(tx);
         rxs.push(rx);
     }
@@ -244,10 +245,10 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
                         )
                     })
                     .collect();
-                tx.send(batch).unwrap();
+                tx.send(((e + 1) * EPOCH_MS, batch)).unwrap();
                 // Send first, then publish progress: the consumer loads
-                // progress before draining, so every watermark it
-                // applies is backed by already-received records.
+                // progress before finding the ring empty, so every
+                // watermark it applies is backed by received records.
                 progress[i].store((e + 1) * EPOCH_MS, Ordering::Release);
                 barrier.wait();
             }
@@ -264,17 +265,23 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
             if finished[i] {
                 continue;
             }
+            // One batch per ring per round, applying its horizon, as
+            // the fleet runner's merger does.
             let p = progress[i].load(Ordering::Acquire);
-            while let Ok(batch) = rxs[i].try_recv() {
-                for rec in &batch {
-                    merge.push(i, rec);
+            let horizon = match rxs[i].try_recv() {
+                Ok((horizon, batch)) => {
+                    for rec in &batch {
+                        merge.push(i, rec);
+                    }
+                    horizon
                 }
-            }
-            if p == u64::MAX {
+                Err(_) => p,
+            };
+            if horizon == u64::MAX {
                 merge.finish_input(i);
                 finished[i] = true;
             } else {
-                merge.set_progress(i, p);
+                merge.set_progress(i, horizon);
             }
         }
         peak = peak.max(merge.peak());
@@ -284,10 +291,11 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
                 .min_by_key(|&i| progress[i].load(Ordering::Acquire))
             {
                 match rxs[g].recv_timeout(Duration::from_millis(2)) {
-                    Ok(batch) => {
+                    Ok((horizon, batch)) => {
                         for rec in &batch {
                             merge.push(g, rec);
                         }
+                        merge.set_progress(g, horizon);
                     }
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => {
@@ -327,8 +335,15 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
 /// the fleet gauges.
 #[test]
 fn fleet_run_exports_bounded_memory_gauges() {
-    let (recs, stats) = generate_fleet(&tiny(3, 3, 5)).unwrap();
+    let config = tiny(3, 3, 5);
+    let (recs, stats) = generate_fleet(&config).unwrap();
     assert!(stats.merge_buffered_peak > 0);
+    // The epoch barrier keeps running machines within one epoch.
+    assert!(
+        stats.merge_lag_ms_peak <= config.epoch_ms,
+        "merge lag {} ms exceeds one epoch",
+        stats.merge_lag_ms_peak
+    );
     assert!(
         stats.merge_buffered_peak < recs.len() as u64,
         "merge buffered the whole trace: {} of {}",
