@@ -19,6 +19,18 @@ echo "== metrics invariants and goldens"
 cargo test -q -p bsdtrace --test metrics --test goldens
 cargo test -q -p cachesim --test sharing
 cargo test -q -p workload --test fleet --test bsdfs_pin
+# The reference output: `repro all --hours 2` must reproduce
+# repro_output.txt byte for byte.
+./target/release/repro --hours 2 2>/dev/null | cmp - repro_output.txt
+# The server experiment over archive-loaded traces (cold: generated and
+# archived; warm: replayed) must match the in-memory run exactly.
+TMP=$(mktemp -d)
+./target/release/repro server --hours 2 2>/dev/null > "$TMP/server.txt"
+for pass in cold warm; do
+    ./target/release/repro server --hours 2 --archive "$TMP" 2>/dev/null \
+        | cmp - "$TMP/server.txt" || { echo "   server --archive ($pass) diverged"; exit 1; }
+done
+rm -rf "$TMP"
 
 echo "== bounded-memory smoke (streaming pipeline under ulimit -v)"
 # The streaming pipeline must generate, analyze, and replay a 2-hour

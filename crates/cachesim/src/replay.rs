@@ -113,6 +113,14 @@ pub fn expansion_count() -> u64 {
     expansions_counter().get()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Expansions started on this thread, beside the process-wide
+    /// counter: unit tests run in parallel in one process, so only a
+    /// per-thread tally can be diffed without racing other tests.
+    static THREAD_EXPANSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Expands a trace into time-ordered replay events under a configuration
 /// (the `rw_handling` and `simulate_paging` options affect the
 /// expansion).
@@ -559,6 +567,8 @@ impl EventExpander {
     /// one expansion in `cachesim.replay.expansions`.
     pub fn new(config: &CacheConfig) -> Self {
         expansions_counter().inc();
+        #[cfg(test)]
+        THREAD_EXPANSIONS.with(|n| n.set(n.get() + 1));
         let billing = Billing {
             rw_handling: config.rw_handling,
             simulate_paging: config.simulate_paging,
@@ -1115,12 +1125,13 @@ mod tests {
     /// `replay_events` call.
     #[test]
     fn expander_counts_one_expansion() {
-        let before = expansion_count();
+        let count = || THREAD_EXPANSIONS.with(|n| n.get());
+        let before = count();
         let _ = EventExpander::new(&cfg());
-        assert_eq!(expansion_count(), before + 1);
+        assert_eq!(count(), before + 1);
         let trace = busy_trace();
         let _ = replay_events(&trace, &cfg());
-        assert_eq!(expansion_count(), before + 2);
+        assert_eq!(count(), before + 2);
     }
 
     /// Replay events come out in nondecreasing time order (what

@@ -5,7 +5,7 @@
 //! tests in one binary run concurrently, and any other test that
 //! triggered an expansion would perturb a before/after diff.
 
-use cachesim::{sweep, CacheConfig, WritePolicy};
+use cachesim::{replay_events, sweep, CacheConfig, EventExpander, WritePolicy};
 use fstrace::{AccessMode, Trace, TraceBuilder};
 
 fn trace() -> Trace {
@@ -24,6 +24,14 @@ fn trace() -> Trace {
 #[test]
 fn sweep_expands_once_per_group() {
     let trace = trace();
+
+    // The expander emits one expansion per instance, exactly like a
+    // `replay_events` call.
+    let before = cachesim::expansion_count();
+    let _ = EventExpander::new(&CacheConfig::default());
+    assert_eq!(cachesim::expansion_count(), before + 1);
+    let _ = replay_events(&trace, &CacheConfig::default());
+    assert_eq!(cachesim::expansion_count(), before + 2);
 
     // A full Table VI-shaped grid (sizes x policies) shares one key.
     let grid: Vec<CacheConfig> = [128u64, 512, 2048]

@@ -26,11 +26,10 @@
 //! --archive DIR caches generated traces as `tracestore` archives
 //! under DIR: the first run with a given --hours/--seed writes them,
 //! later runs replay them (checksummed, chunk-parallel decode) instead
-//! of regenerating. The server experiment also persists its merged
-//! trace there. Experiment output is identical with or without the
-//! cache. The `compare` experiment needs live file-system state that a
-//! replay cannot reconstruct, so runs that include it bypass the cache
-//! with a note.
+//! of regenerating. Experiment output is identical with or without
+//! the cache. The `compare` experiment needs live file-system state
+//! that a replay cannot reconstruct, so runs that include it bypass the
+//! cache with a note.
 //! ```
 
 use std::path::PathBuf;
@@ -155,7 +154,19 @@ fn main() {
     eprintln!("  [timing] generate_traces: {:.1} ms", ms(gen_started));
     eprintln!();
 
+    // The first cache experiment builds the Section 6 plan; its two
+    // shared passes get [timing] lines of their own so the jump in that
+    // experiment's time explains itself.
+    const PLAN_PASSES: [&str; 2] = ["a5_sweep", "server_sweep"];
+    let plan_passes = || {
+        let snap = obs::global().snapshot();
+        PLAN_PASSES.map(|pass| {
+            snap.span(&format!("core.section6.{pass}"))
+                .map_or(0, |s| s.total_ns)
+        })
+    };
     let run_one = |name: &str| {
+        let passes_before = plan_passes();
         let started = Instant::now();
         let _timing = obs::global().span(&format!("repro.{name}")).start();
         match name {
@@ -175,16 +186,19 @@ fn main() {
             "compare" => println!("{}\n", experiments::comparisons::run(&set)),
             "fidelity" => println!("{}\n", experiments::fidelity::run(&set)),
             "ablations" => println!("{}\n", experiments::ablations::run(&set)),
-            "server" => match &archive_dir {
-                Some(dir) => {
-                    let path = bsdtrace::archive::trace_path(dir, "server-merged", &config);
-                    println!("{}\n", experiments::server::run_archived(&set, &path, jobs));
-                }
-                None => println!("{}\n", experiments::server::run(&set)),
-            },
+            "server" => println!("{}\n", experiments::server::run(&set)),
             other => die(&format!("unknown experiment {other}")),
         }
         eprintln!("  [timing] {name}: {:.1} ms", ms(started));
+        for (pass, (after, before)) in PLAN_PASSES
+            .iter()
+            .zip(plan_passes().into_iter().zip(passes_before))
+        {
+            if after > before {
+                let pass_ms = (after - before) as f64 / 1e6;
+                eprintln!("  [timing]   section6.{pass}: {pass_ms:.1} ms");
+            }
+        }
     };
 
     if which == "all" {

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use cachesim::{sweep, CacheConfig, Replacement, RwHandling, WritePolicy};
+use cachesim::{CacheConfig, Fidelity, Replacement, RwHandling, WritePolicy};
 
 use crate::report::{pct, Table};
 use crate::TraceSet;
@@ -28,64 +28,72 @@ pub struct Ablations {
     pub variants: Vec<Variant>,
 }
 
-/// Runs all ablations on the A5 trace.
-pub fn run(set: &TraceSet) -> Ablations {
-    let trace = &set.a5().out.trace;
+/// The ablation variants, baseline first, each with its A5 cell.
+fn variants(fidelity: Fidelity) -> Vec<(&'static str, CacheConfig)> {
     let base = CacheConfig {
         cache_bytes: 1 << 20,
         block_size: 4096,
         write_policy: WritePolicy::DelayedWrite,
-        fidelity: set.fidelity,
+        fidelity,
         ..CacheConfig::default()
     };
-    // The sweep engine groups these by expansion key: the first four
-    // share the baseline expansion, and each read-write billing variant
-    // gets its own (rw_handling changes the event stream itself).
-    let variants_spec: Vec<(String, CacheConfig)> = vec![
-        ("baseline (LRU, elision, invalidation)".into(), base.clone()),
+    // The first four share the baseline expansion; each read-write
+    // billing variant gets its own (rw_handling changes the event
+    // stream itself).
+    vec![
+        ("baseline (LRU, elision, invalidation)", base.clone()),
         (
-            "FIFO replacement".into(),
+            "FIFO replacement",
             CacheConfig {
                 replacement: Replacement::Fifo,
                 ..base.clone()
             },
         ),
         (
-            "no whole-block-overwrite elision".into(),
+            "no whole-block-overwrite elision",
             CacheConfig {
                 whole_block_elision: false,
                 ..base.clone()
             },
         ),
         (
-            "no delete/overwrite invalidation".into(),
+            "no delete/overwrite invalidation",
             CacheConfig {
                 invalidate_on_delete: false,
                 ..base.clone()
             },
         ),
         (
-            "read-write runs billed as reads".into(),
+            "read-write runs billed as reads",
             CacheConfig {
                 rw_handling: RwHandling::Read,
                 ..base.clone()
             },
         ),
         (
-            "read-write runs billed as both".into(),
+            "read-write runs billed as both",
             CacheConfig {
                 rw_handling: RwHandling::Both,
-                ..base.clone()
+                ..base
             },
         ),
-    ];
-    let configs: Vec<CacheConfig> = variants_spec.iter().map(|(_, c)| c.clone()).collect();
-    let results = sweep::run(trace, &configs);
-    let mut measured = variants_spec
+    ]
+}
+
+/// The A5 cells of the ablations, baseline first.
+pub fn configs(fidelity: Fidelity) -> Vec<CacheConfig> {
+    variants(fidelity).into_iter().map(|(_, c)| c).collect()
+}
+
+/// Reads all ablations from the set's Section 6 plan.
+pub fn run(set: &TraceSet) -> Ablations {
+    let (names, configs): (Vec<&str>, Vec<CacheConfig>) =
+        variants(set.fidelity()).into_iter().unzip();
+    let mut measured = names
         .into_iter()
-        .zip(results)
-        .map(|((name, _), (_, m))| Variant {
-            name,
+        .zip(set.cells(&configs))
+        .map(|(name, m)| Variant {
+            name: name.to_string(),
             disk_ios: m.disk_ios(),
             miss_ratio: m.miss_ratio(),
         });

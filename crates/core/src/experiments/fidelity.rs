@@ -12,8 +12,9 @@
 
 use std::fmt;
 
-use cachesim::{sweep, CacheConfig, Fidelity, WritePolicy};
+use cachesim::{CacheConfig, CacheMetrics, Fidelity, WritePolicy};
 
+use crate::experiments::table6;
 use crate::paper;
 use crate::report::Table;
 use crate::TraceSet;
@@ -55,59 +56,48 @@ pub struct FidelityCompare {
     pub totals: [Totals; 3],
 }
 
-/// Replays the Table VI grid at all three fidelities in one sweep call:
-/// the block-fidelity group stack-profiles as usual while the syscall
-/// and open groups (explicit stack fallbacks) replay direct, each from
-/// its own shared expansion.
+/// The Table VI grid at every fidelity, one plane per
+/// [`Fidelity::ALL`] entry. The experiment compares all three levels
+/// whatever the set's fidelity, so `_fidelity` is unused.
+pub fn configs(_fidelity: Fidelity) -> Vec<CacheConfig> {
+    Fidelity::ALL
+        .into_iter()
+        .flat_map(table6::configs)
+        .collect()
+}
+
+/// Reads the Table VI grid at all three fidelities from the set's
+/// Section 6 plan. There the block plane stack-profiles while the
+/// syscall and open planes (explicit stack fallbacks) replay direct,
+/// each from its own shared expansion.
 pub fn run(set: &TraceSet) -> FidelityCompare {
-    let trace = &set.a5().out.trace;
-    let mut configs: Vec<CacheConfig> = Vec::new();
-    for fidelity in Fidelity::ALL {
-        for &size_kb in paper::TABLE_VI_SIZES_KB.iter() {
-            for policy in WritePolicy::TABLE_VI {
-                configs.push(CacheConfig {
-                    cache_bytes: size_kb * 1024,
-                    block_size: 4096,
-                    write_policy: policy,
-                    fidelity,
-                    ..CacheConfig::default()
-                });
-            }
-        }
-    }
-    let results = sweep::run(trace, &configs);
+    let configs = configs(set.fidelity());
+    let metrics = set.cells(&configs);
     let per = paper::TABLE_VI_SIZES_KB.len() * WritePolicy::TABLE_VI.len();
-    let planes: Vec<_> = results.chunks(per).collect();
-    let cells: Vec<Cell> = (0..per)
-        .map(|i| {
-            let (cfg, _) = &planes[0][i];
-            Cell {
-                cache_kb: cfg.cache_bytes / 1024,
-                policy: cfg.write_policy,
-                miss: [
-                    planes[0][i].1.miss_ratio(),
-                    planes[1][i].1.miss_ratio(),
-                    planes[2][i].1.miss_ratio(),
-                ],
-                disk_ios: [
-                    planes[0][i].1.disk_ios(),
-                    planes[1][i].1.disk_ios(),
-                    planes[2][i].1.disk_ios(),
-                ],
-            }
+    let planes: Vec<&[&CacheMetrics]> = metrics.chunks(per).collect();
+    let cells: Vec<Cell> = configs[..per]
+        .iter()
+        .enumerate()
+        .map(|(i, cfg)| Cell {
+            cache_kb: cfg.cache_bytes / 1024,
+            policy: cfg.write_policy,
+            miss: std::array::from_fn(|fi| planes[fi][i].miss_ratio()),
+            disk_ios: std::array::from_fn(|fi| planes[fi][i].disk_ios()),
         })
         .collect();
     let totals = std::array::from_fn(|fi| {
         let plane = planes[fi];
-        let dw: Vec<_> = plane
+        let dw: Vec<&CacheMetrics> = configs[..per]
             .iter()
+            .zip(plane)
             .filter(|(c, _)| c.write_policy == WritePolicy::DelayedWrite)
+            .map(|(_, &m)| m)
             .collect();
         Totals {
             fidelity: Fidelity::ALL[fi],
-            logical_accesses: plane[0].1.logical_accesses(),
-            disk_reads: dw.iter().map(|(_, m)| m.disk_reads).sum(),
-            disk_writes: dw.iter().map(|(_, m)| m.disk_writes).sum(),
+            logical_accesses: plane[0].logical_accesses(),
+            disk_reads: dw.iter().map(|m| m.disk_reads).sum(),
+            disk_writes: dw.iter().map(|m| m.disk_writes).sum(),
         }
     });
     FidelityCompare { cells, totals }

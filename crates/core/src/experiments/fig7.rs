@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use cachesim::{sweep, CacheConfig, WritePolicy};
+use cachesim::{CacheConfig, Fidelity, WritePolicy};
 
 use crate::chart::{render, Curve};
 use crate::report::Table;
@@ -29,14 +29,10 @@ pub struct Fig7 {
     pub points: Vec<Point>,
 }
 
-/// Runs the paging comparison on the A5 trace (delayed write, 4 KB).
-///
-/// Two expansion groups: all the paging-off points share one event
-/// vector, all the paging-on points another.
-pub fn run(set: &TraceSet) -> Fig7 {
-    let trace = &set.a5().out.trace;
-    let fidelity = set.fidelity;
-    let configs: Vec<CacheConfig> = CACHE_MB
+/// The A5 cells of the paging comparison (delayed write, 4 KB): per
+/// cache size, paging off then on.
+pub fn configs(fidelity: Fidelity) -> Vec<CacheConfig> {
+    CACHE_MB
         .iter()
         .flat_map(|&mb| {
             [false, true].into_iter().map(move |paging| CacheConfig {
@@ -48,15 +44,19 @@ pub fn run(set: &TraceSet) -> Fig7 {
                 ..CacheConfig::default()
             })
         })
-        .collect();
-    let results = sweep::run(trace, &configs);
-    let points = results
+        .collect()
+}
+
+/// Reads the paging comparison from the set's Section 6 plan.
+pub fn run(set: &TraceSet) -> Fig7 {
+    let metrics = set.cells(&configs(set.fidelity()));
+    let points = metrics
         .chunks(2)
         .zip(CACHE_MB)
         .map(|(pair, mb)| Point {
             cache_mb: mb,
-            without_paging: pair[0].1.miss_ratio(),
-            with_paging: pair[1].1.miss_ratio(),
+            without_paging: pair[0].miss_ratio(),
+            with_paging: pair[1].miss_ratio(),
         })
         .collect();
     Fig7 { points }

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use cachesim::{CacheConfig, Simulator, WritePolicy};
+use cachesim::{CacheConfig, Fidelity, WritePolicy};
 
 use crate::paper;
 use crate::report::{pct, Table};
@@ -20,17 +20,22 @@ pub struct Residency {
     pub never_written: f64,
 }
 
-/// Measures dirty-block residency at a 4-Mbyte delayed-write cache.
-pub fn run(set: &TraceSet) -> Residency {
-    let trace = &set.a5().out.trace;
-    let cfg = CacheConfig {
+/// The one A5 cell measured: 4 Mbytes, 4 KB blocks, delayed write.
+pub fn configs(fidelity: Fidelity) -> Vec<CacheConfig> {
+    vec![CacheConfig {
         cache_bytes: 4 << 20,
         block_size: 4096,
         write_policy: WritePolicy::DelayedWrite,
-        fidelity: set.fidelity,
+        fidelity,
         ..CacheConfig::default()
-    };
-    let mut m = Simulator::run(trace, &cfg);
+    }]
+}
+
+/// Measures dirty-block residency at a 4-Mbyte delayed-write cache.
+pub fn run(set: &TraceSet) -> Residency {
+    // The residency accessors sort the sample multiset in place, so
+    // this works on its own copy of the plan's cell.
+    let mut m = set.cells(&configs(set.fidelity()))[0].clone();
     let longer_than = [1u64, 2, 5, 10, 20]
         .iter()
         .map(|&min| (min, m.residency_longer_than_minutes(min)))

@@ -9,12 +9,10 @@
 //! carry — and size its cache.
 
 use std::fmt;
-use std::path::Path;
 
-use cachesim::{sweep, CacheConfig, Fidelity, WritePolicy};
-use fstrace::{merged_records, Trace, TraceRecord};
+use cachesim::{CacheConfig, Fidelity, WritePolicy};
+use fstrace::Trace;
 
-use crate::archive;
 use crate::chart::{render, Curve};
 use crate::report::{pct, Table};
 use crate::TraceSet;
@@ -46,11 +44,12 @@ pub struct Server {
     pub points: Vec<Point>,
 }
 
-/// Merges every generated trace and sweeps the server cache.
+/// Sizes the server cache over the merge of every generated trace,
+/// reading the grid from the set's Section 6 plan.
 ///
-/// The merge streams: [`merged_records`] yields the k-way merged
-/// sequence straight into the sweep, so the combined server trace is
-/// never materialized.
+/// The plan streams the merge: [`fstrace::merged_records`] yields the
+/// k-way merged sequence straight into the sweep, so the combined
+/// server trace is never materialized.
 pub fn run(set: &TraceSet) -> Server {
     let traces: Vec<&Trace> = set.entries.iter().map(|e| &e.out.trace).collect();
     let records: usize = traces.iter().map(|t| t.len()).sum();
@@ -70,69 +69,27 @@ pub fn run(set: &TraceSet) -> Server {
             ids.len() as u64
         })
         .sum();
-    let configs = server_configs(set.fidelity);
-    let results = sweep::run_source(
-        || merged_records(&traces).map(|r| r.expect("in-memory merge cannot fail")),
-        &configs,
-        sweep::default_jobs(),
-    );
+    let metrics = set.server_cells(&configs(set.fidelity()));
+    let points = metrics
+        .chunks(2)
+        .zip(CACHE_MB)
+        .map(|(pair, mb)| Point {
+            cache_mb: mb,
+            miss_ratio: pair[0].miss_ratio(),
+            miss_ratio_flush: pair[1].miss_ratio(),
+        })
+        .collect();
     Server {
         clients: traces.len(),
         records,
         users,
-        points: points_from(&results),
+        points,
     }
 }
 
-/// Archive-backed variant of [`run`]: the merged server trace is
-/// persisted to `path` on first use and replayed from it afterwards.
-///
-/// On a cache miss the streaming merge runs once to build the archive;
-/// on a hit the merge is skipped entirely and the archive's chunks are
-/// decoded in parallel with `jobs` workers. Either way the sweep sees
-/// the identical record sequence, so the report matches [`run`]
-/// exactly. A damaged archive is a miss: it is re-merged and
-/// rewritten, never partially trusted.
-pub fn run_archived(set: &TraceSet, path: &Path, jobs: usize) -> Server {
-    let merged: Trace = match archive::load_trace(path, jobs) {
-        Some(trace) => {
-            eprintln!("  server: merged trace replayed from {}", path.display());
-            trace
-        }
-        None => {
-            let traces: Vec<&Trace> = set.entries.iter().map(|e| &e.out.trace).collect();
-            let records: Vec<TraceRecord> = merged_records(&traces)
-                .map(|r| r.expect("in-memory merge cannot fail"))
-                .collect();
-            let trace = Trace::from_records(records);
-            archive::store_trace(path, "server-merged", &trace);
-            eprintln!("  server: merged trace archived to {}", path.display());
-            trace
-        }
-    };
-    // Disjoint id remapping makes user ids unique across clients, so
-    // counting them on the merged stream equals [`run`]'s per-client
-    // sum.
-    let mut users: Vec<u32> = merged
-        .records()
-        .iter()
-        .filter_map(|r| r.event.user_id())
-        .map(|u| u.0)
-        .collect();
-    users.sort_unstable();
-    users.dedup();
-    let configs = server_configs(set.fidelity);
-    let results = sweep::run_source(|| merged.records(), &configs, jobs);
-    Server {
-        clients: set.entries.len(),
-        records: merged.len(),
-        users: users.len() as u64,
-        points: points_from(&results),
-    }
-}
-
-/// The cache-size × write-policy grid both entry points sweep.
-fn server_configs(fidelity: Fidelity) -> Vec<CacheConfig> {
+/// The server grid: per cache size, delayed write then a 30-second
+/// flush-back.
+pub fn configs(fidelity: Fidelity) -> Vec<CacheConfig> {
     CACHE_MB
         .iter()
         .flat_map(|&mb| {
@@ -150,18 +107,6 @@ fn server_configs(fidelity: Fidelity) -> Vec<CacheConfig> {
                 fidelity,
                 ..CacheConfig::default()
             })
-        })
-        .collect()
-}
-
-fn points_from(results: &[(CacheConfig, cachesim::CacheMetrics)]) -> Vec<Point> {
-    results
-        .chunks(2)
-        .zip(CACHE_MB)
-        .map(|(pair, mb)| Point {
-            cache_mb: mb,
-            miss_ratio: pair[0].1.miss_ratio(),
-            miss_ratio_flush: pair[1].1.miss_ratio(),
         })
         .collect()
 }

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use cachesim::{sweep, CacheConfig, WritePolicy};
+use cachesim::{CacheConfig, Fidelity, WritePolicy};
 
 use crate::chart::{render, Curve};
 use crate::paper;
@@ -27,12 +27,9 @@ pub struct Table6 {
     pub cells: Vec<Vec<Cell>>,
 }
 
-/// Runs the 6 × 4 sweep on the A5 trace (one shared expansion, all
-/// cells simulated in parallel).
-pub fn run(set: &TraceSet) -> Table6 {
-    let trace = &set.a5().out.trace;
-    let fidelity = set.fidelity;
-    let configs: Vec<CacheConfig> = paper::TABLE_VI_SIZES_KB
+/// The 6 × 4 grid of A5 cells, sizes × policies in the paper's layout.
+pub fn configs(fidelity: Fidelity) -> Vec<CacheConfig> {
+    paper::TABLE_VI_SIZES_KB
         .iter()
         .flat_map(|&size_kb| {
             WritePolicy::TABLE_VI
@@ -45,21 +42,27 @@ pub fn run(set: &TraceSet) -> Table6 {
                     ..CacheConfig::default()
                 })
         })
-        .collect();
-    let results = sweep::run(trace, &configs);
-    let cells = results
-        .chunks(WritePolicy::TABLE_VI.len())
-        .map(|row| {
-            row.iter()
-                .map(|(cfg, m)| Cell {
-                    cache_kb: cfg.cache_bytes / 1024,
-                    policy: cfg.write_policy,
-                    miss_ratio: m.miss_ratio(),
-                })
-                .collect()
+        .collect()
+}
+
+/// Reads the 6 × 4 grid from the set's Section 6 plan.
+pub fn run(set: &TraceSet) -> Table6 {
+    let configs = configs(set.fidelity());
+    let cells: Vec<Cell> = configs
+        .iter()
+        .zip(set.cells(&configs))
+        .map(|(cfg, m)| Cell {
+            cache_kb: cfg.cache_bytes / 1024,
+            policy: cfg.write_policy,
+            miss_ratio: m.miss_ratio(),
         })
         .collect();
-    Table6 { cells }
+    Table6 {
+        cells: cells
+            .chunks(WritePolicy::TABLE_VI.len())
+            .map(<[Cell]>::to_vec)
+            .collect(),
+    }
 }
 
 impl Table6 {

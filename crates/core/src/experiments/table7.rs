@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use cachesim::{sweep, CacheConfig, WritePolicy};
+use cachesim::{CacheConfig, Fidelity, WritePolicy};
 
 use crate::paper;
 use crate::report::{count, Table};
@@ -27,14 +27,10 @@ pub struct Table7 {
     pub rows: Vec<Row>,
 }
 
-/// Runs the block-size × cache-size sweep on the A5 trace.
-///
-/// The block size only changes how the event stream is *consumed*, not
-/// how it expands, so the whole grid shares a single expansion.
-pub fn run(set: &TraceSet) -> Table7 {
-    let trace = &set.a5().out.trace;
-    let fidelity = set.fidelity;
-    let configs: Vec<CacheConfig> = paper::TABLE_VII_BLOCK_KB
+/// The block-size × cache-size grid of A5 cells, one row per block
+/// size.
+pub fn configs(fidelity: Fidelity) -> Vec<CacheConfig> {
+    paper::TABLE_VII_BLOCK_KB
         .iter()
         .flat_map(|&bs_kb| {
             paper::TABLE_VII_CACHE_KB
@@ -47,14 +43,22 @@ pub fn run(set: &TraceSet) -> Table7 {
                     ..CacheConfig::default()
                 })
         })
-        .collect();
-    let results = sweep::run(trace, &configs);
-    let rows = results
-        .chunks(paper::TABLE_VII_CACHE_KB.len())
-        .map(|row| Row {
-            block_kb: row[0].0.block_size / 1024,
-            accesses: row.last().expect("nonempty row").1.logical_accesses(),
-            disk_ios: row.iter().map(|(_, m)| m.disk_ios()).collect(),
+        .collect()
+}
+
+/// Reads the block-size × cache-size grid from the set's Section 6
+/// plan.
+pub fn run(set: &TraceSet) -> Table7 {
+    let configs = configs(set.fidelity());
+    let metrics = set.cells(&configs);
+    let cols = paper::TABLE_VII_CACHE_KB.len();
+    let rows = configs
+        .chunks(cols)
+        .zip(metrics.chunks(cols))
+        .map(|(cfgs, row)| Row {
+            block_kb: cfgs[0].block_size / 1024,
+            accesses: row.last().expect("nonempty row").logical_accesses(),
+            disk_ios: row.iter().map(|m| m.disk_ios()).collect(),
         })
         .collect();
     Table7 { rows }

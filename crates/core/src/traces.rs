@@ -1,14 +1,17 @@
-//! Standard trace generation shared by every experiment.
+//! Standard trace generation shared by every experiment, and the
+//! Section 6 plan that simulates every cache cell of a set once.
 
 use std::path::Path;
 use std::sync::OnceLock;
+use std::thread;
 
 use bsdfs::{Fs, FsResult};
-use cachesim::Fidelity;
+use cachesim::{sweep, CacheConfig, CacheMetrics, Fidelity};
 use fsanalysis::{run_analyzers, AnalysisSuite};
+use fstrace::{merged_records, Trace};
 use workload::{generate, GeneratedTrace, MachineProfile, WorkloadConfig};
 
-use crate::archive;
+use crate::{archive, experiments};
 
 /// Reproduction parameters: how much simulated time to trace, and the
 /// master seed.
@@ -63,12 +66,95 @@ impl TraceEntry {
 pub struct TraceSet {
     /// Entries in paper order: a5, e3, c4.
     pub entries: Vec<TraceEntry>,
-    /// Replay fidelity the cache experiments should simulate at
-    /// (carried from [`ReproConfig::fidelity`]).
-    pub fidelity: Fidelity,
+    /// Replay fidelity the cache experiments simulate at. Private and
+    /// fixed at construction, so the plan computed from it never goes
+    /// stale.
+    fidelity: Fidelity,
+    section6: OnceLock<Section6>,
+}
+
+/// Every Section 6 cache cell of a set, each simulated once.
+struct Section6 {
+    /// The A5 cells of [`experiments::section6_configs`], in its order.
+    a5: Vec<(CacheConfig, CacheMetrics)>,
+    /// The [`experiments::server`] grid over the merge of every entry.
+    server: Vec<(CacheConfig, CacheMetrics)>,
 }
 
 impl TraceSet {
+    fn new(entries: Vec<TraceEntry>, fidelity: Fidelity) -> Self {
+        TraceSet {
+            entries,
+            fidelity,
+            section6: OnceLock::new(),
+        }
+    }
+
+    /// Replay fidelity the cache experiments simulate at (carried from
+    /// [`ReproConfig::fidelity`]).
+    pub fn fidelity(&self) -> Fidelity {
+        self.fidelity
+    }
+
+    /// The metrics of each A5 cache cell in `configs`, in order,
+    /// borrowed from the Section 6 plan (see [`TraceSet::server_cells`]).
+    ///
+    /// The first call of either lookup computes the whole plan: one
+    /// sweep of the [`experiments::section6_configs`] union over A5 on
+    /// this thread, beside one sweep of the server grid over the merge
+    /// of every entry and one [`TraceEntry::analysis`] per entry, each
+    /// on a scoped thread of its own. Later calls only look cells up.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the config, if a config is not in the union: an
+    /// experiment read a cell its `configs` does not list.
+    pub fn cells(&self, configs: &[CacheConfig]) -> Vec<&CacheMetrics> {
+        lookup(&self.section6().a5, configs, "A5")
+    }
+
+    /// The metrics of each dedicated-server cell in `configs`, in
+    /// order, borrowed from the Section 6 plan (see [`TraceSet::cells`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the config, if a config is not in the
+    /// [`experiments::server::configs`] grid.
+    pub fn server_cells(&self, configs: &[CacheConfig]) -> Vec<&CacheMetrics> {
+        lookup(&self.section6().server, configs, "server")
+    }
+
+    fn section6(&self) -> &Section6 {
+        self.section6.get_or_init(|| {
+            let reg = obs::global();
+            let _plan = reg.span("core.section6.plan").start();
+            let union = experiments::section6_configs(self.fidelity);
+            let server_configs = experiments::server::configs(self.fidelity);
+            let traces: Vec<&Trace> = self.entries.iter().map(|e| &e.out.trace).collect();
+            thread::scope(|s| {
+                for e in &self.entries {
+                    s.spawn(|| e.analysis());
+                }
+                let server = s.spawn(|| {
+                    let _pass = reg.span("core.section6.server_sweep").start();
+                    sweep::run_source(
+                        || merged_records(&traces).map(|r| r.expect("in-memory merge cannot fail")),
+                        &server_configs,
+                        sweep::default_jobs(),
+                    )
+                });
+                let a5 = {
+                    let _pass = reg.span("core.section6.a5_sweep").start();
+                    sweep::run(&self.a5().out.trace, &union)
+                };
+                Section6 {
+                    a5,
+                    server: server.join().expect("server sweep panicked"),
+                }
+            })
+        })
+    }
+
     /// Generates all three traces.
     pub fn generate(config: &ReproConfig) -> FsResult<Self> {
         let mut entries = Vec::new();
@@ -88,10 +174,7 @@ impl TraceSet {
                 analysis: OnceLock::new(),
             });
         }
-        Ok(TraceSet {
-            entries,
-            fidelity: config.fidelity,
-        })
+        Ok(TraceSet::new(entries, config.fidelity))
     }
 
     /// Generates only the A5 trace (the Section 6 simulations use A5
@@ -106,15 +189,15 @@ impl TraceSet {
             duration_hours: config.hours,
             ..WorkloadConfig::default()
         })?;
-        Ok(TraceSet {
-            entries: vec![TraceEntry {
+        Ok(TraceSet::new(
+            vec![TraceEntry {
                 name,
                 machine,
                 out,
                 analysis: OnceLock::new(),
             }],
-            fidelity: config.fidelity,
-        })
+            config.fidelity,
+        ))
     }
 
     /// The A5 entry.
@@ -140,23 +223,20 @@ impl TraceSet {
         for profile in MachineProfile::all() {
             entries.push(Self::entry_cached(profile, config, dir, jobs)?);
         }
-        Ok(TraceSet {
-            entries,
-            fidelity: config.fidelity,
-        })
+        Ok(TraceSet::new(entries, config.fidelity))
     }
 
     /// Archive-cached counterpart of [`TraceSet::generate_a5`].
     pub fn generate_a5_cached(config: &ReproConfig, dir: &Path, jobs: usize) -> FsResult<Self> {
-        Ok(TraceSet {
-            entries: vec![Self::entry_cached(
+        Ok(TraceSet::new(
+            vec![Self::entry_cached(
                 MachineProfile::ucbarpa(),
                 config,
                 dir,
                 jobs,
             )?],
-            fidelity: config.fidelity,
-        })
+            config.fidelity,
+        ))
     }
 
     fn entry_cached(
@@ -196,6 +276,24 @@ impl TraceSet {
             analysis: OnceLock::new(),
         })
     }
+}
+
+/// Borrows the metrics of each of `configs` from a plan's `cells`.
+fn lookup<'a>(
+    cells: &'a [(CacheConfig, CacheMetrics)],
+    configs: &[CacheConfig],
+    plane: &str,
+) -> Vec<&'a CacheMetrics> {
+    configs
+        .iter()
+        .map(|c| {
+            cells
+                .iter()
+                .find(|(k, _)| k == c)
+                .map(|(_, m)| m)
+                .unwrap_or_else(|| panic!("{c:?} is not a {plane} cell of the Section 6 plan"))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Cross-crate consistency: the cache simulator against independent
 //! computations on the same real trace.
 
-use cachesim::{replay_events, CacheConfig, ReplayEvent, Simulator, WritePolicy};
+use bsdtrace::{experiments, ReproConfig, TraceSet};
+use cachesim::{replay_events, CacheConfig, Fidelity, ReplayEvent, Simulator, WritePolicy};
+use fstrace::merged_records;
 use workload::{generate, MachineProfile, WorkloadConfig};
 
 fn trace() -> fstrace::Trace {
@@ -138,4 +140,30 @@ fn write_through_miss_ratio_floor_is_write_fraction() {
     let write_fraction = m.logical_writes as f64 / m.logical_accesses() as f64;
     assert!(m.miss_ratio() >= write_fraction - 1e-9);
     assert!(write_fraction > 0.1, "workload writes too little");
+}
+
+/// The Section 6 plan against direct simulation: every A5 cell equals
+/// `Simulator::run` of its config, and every server cell equals a
+/// direct replay of the merged stream, at each replay fidelity.
+#[test]
+fn section6_plan_matches_direct_simulation() {
+    for fidelity in Fidelity::ALL {
+        let set = TraceSet::generate(&ReproConfig {
+            hours: 0.1,
+            seed: 3,
+            fidelity,
+        })
+        .expect("trace set");
+        let a5 = &set.a5().out.trace;
+        let union = experiments::section6_configs(fidelity);
+        for (cfg, m) in union.iter().zip(set.cells(&union)) {
+            assert_eq!(*m, Simulator::run(a5, cfg), "{cfg:?}");
+        }
+        let traces: Vec<&fstrace::Trace> = set.entries.iter().map(|e| &e.out.trace).collect();
+        let server = experiments::server::configs(fidelity);
+        for (cfg, m) in server.iter().zip(set.server_cells(&server)) {
+            let merged = merged_records(&traces).map(|r| r.expect("in-memory merge"));
+            assert_eq!(*m, Simulator::run_stream(merged, cfg), "{cfg:?}");
+        }
+    }
 }

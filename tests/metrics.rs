@@ -6,10 +6,12 @@
 //!    registry, must agree with the legacy accessor snapshots and obey
 //!    the accounting identity `read_hits + read_misses ==
 //!    logical_reads`.
-//! 2. Global sweep counters must show exactly one trace expansion per
-//!    (`rw_handling` × `simulate_paging`) group for every worker count,
-//!    with aggregate traffic satisfying the same identity — and the
-//!    rendered experiment output must stay bit-identical across
+//! 2. Global sweep counters must show that a set's Section 6 plan
+//!    expands the trace exactly once per (`fidelity` × `rw_handling` ×
+//!    `simulate_paging`) group, and simulates and times every cell
+//!    once, for every worker count, with aggregate traffic satisfying
+//!    the same identity. Later cache experiments must not sweep again,
+//!    and the rendered Section 6 output must stay bit-identical across
 //!    `--jobs` settings.
 //!
 //! The global registry's counters are process-wide, so this binary
@@ -60,23 +62,41 @@ fn obs_metrics_invariants() {
     assert_eq!(c("bsdfs.a5.itable.misses"), istats.misses);
 
     // --- Global sweep counters across worker counts ---
+    // A fresh set per worker count: the Section 6 plan is computed once
+    // per set, by the first cache experiment that runs on it.
     let global = obs::global();
-    let mut table6_outputs: Vec<String> = Vec::new();
+    let mut section6_outputs: Vec<String> = Vec::new();
     for jobs in [1usize, 2, 8] {
         cachesim::sweep::set_default_jobs(jobs);
+        let set = TraceSet::generate_a5(&ReproConfig {
+            hours: 0.1,
+            seed: 7,
+            ..ReproConfig::default()
+        })
+        .expect("trace");
+        let union = experiments::section6_configs(set.fidelity());
+        let server = experiments::server::configs(set.fidelity());
+        assert_eq!(
+            union.len(),
+            103,
+            "distinct A5 cells of the cache experiments"
+        );
+        let cells = (union.len() + server.len()) as u64;
 
-        // Table VI: 6 sizes x 4 policies, all one expansion key.
+        // Table VI triggers the plan: the A5 union in its six
+        // (fidelity x rw_handling x paging) groups, and the server grid
+        // in one.
         let before = global.snapshot();
-        let out = experiments::table6::run(&set);
+        let table6 = experiments::table6::run(&set);
         let after = global.snapshot();
         let d = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
         assert_eq!(
             d("cachesim.replay.expansions"),
-            1,
-            "table6 is one (rw_handling x paging) group at jobs={jobs}"
+            7,
+            "the plan expands once per group at jobs={jobs}"
         );
-        assert_eq!(d("cachesim.sweep.groups"), 1, "jobs={jobs}");
-        assert_eq!(d("cachesim.sweep.cells"), 24, "jobs={jobs}");
+        assert_eq!(d("cachesim.sweep.groups"), 7, "jobs={jobs}");
+        assert_eq!(d("cachesim.sweep.cells"), cells, "jobs={jobs}");
         assert_eq!(
             d("cachesim.sweep.read_hits") + d("cachesim.sweep.read_misses"),
             d("cachesim.sweep.logical_reads"),
@@ -87,27 +107,33 @@ fn obs_metrics_invariants() {
         let cell_count_after = after.span("cachesim.sweep.cell").map_or(0, |s| s.count);
         assert_eq!(
             cell_count_after - cell_count_before,
-            24,
+            cells,
             "every cell is timed exactly once at jobs={jobs}"
         );
-        table6_outputs.push(out.to_string());
 
-        // Figure 7: paging on and off are distinct expansion keys.
+        // Every other Section 6 experiment reads the plan: no sweep
+        // runs, nothing expands.
         let before = global.snapshot();
-        experiments::fig7::run(&set);
+        let rendered = [
+            table6.to_string(),
+            experiments::table7::run(&set).to_string(),
+            experiments::fig7::run(&set).to_string(),
+            experiments::residency::run(&set).to_string(),
+            experiments::fidelity::run(&set).to_string(),
+            experiments::ablations::run(&set).to_string(),
+            experiments::server::run(&set).to_string(),
+            experiments::table1::run(&set).to_string(),
+        ];
         let after = global.snapshot();
         let d = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-        assert_eq!(
-            d("cachesim.replay.expansions"),
-            2,
-            "fig7 expands once per paging mode at jobs={jobs}"
-        );
-        assert_eq!(d("cachesim.sweep.groups"), 2, "jobs={jobs}");
+        assert_eq!(d("cachesim.replay.expansions"), 0, "jobs={jobs}");
+        assert_eq!(d("cachesim.sweep.groups"), 0, "jobs={jobs}");
+        section6_outputs.push(rendered.concat());
     }
     cachesim::sweep::set_default_jobs(0);
 
     assert!(
-        table6_outputs.windows(2).all(|w| w[0] == w[1]),
-        "table6 rendering must be bit-identical across --jobs 1/2/8"
+        section6_outputs.windows(2).all(|w| w[0] == w[1]),
+        "Section 6 rendering must be bit-identical across --jobs 1/2/8"
     );
 }
