@@ -11,6 +11,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release
+cargo build --release --offline --locked --manifest-path bsdbench/Cargo.toml
 
 echo "== cargo test"
 cargo test -q
@@ -143,16 +144,16 @@ if [ "$BAD" != 1 ]; then
 fi
 echo "   tracefmt: pack/unpack round-trips, verify isolates the bad chunk"
 
-echo "== chunk-parallel archive decode benchmark artifact"
+echo "== pipelined archive decode benchmark artifact"
 # Archive replay of the Table VI sweep must be identical to the
-# in-memory path (asserted above and again here), and chunk-parallel
-# decode must be >= 2x faster than single-threaded decode at --jobs 4
-# — but only where that is physically possible. On containers with
-# fewer than 4 cores the threads time-slice one CPU and the speedup
-# clause is vacuous, so the gate degrades to the identity + recovery
-# assertions plus a sanity floor (parallel decode must not be
-# pathologically slower than sequential). The `cores` field in the
-# artifact records which regime applied.
+# in-memory path (asserted above and again here), and pipelined decode
+# (Archive::pipelined on --jobs workers) must be >= 2x faster than the
+# sequential reader at --jobs 4 — but only where that is physically
+# possible. On containers with fewer than 4 cores the threads
+# time-slice one CPU and the speedup clause is vacuous, so the gate
+# degrades to the identity + recovery assertions plus a sanity floor
+# (parallel decode must not be pathologically slower than sequential).
+# The `cores` field in the artifact records which regime applied.
 ./target/release/archivebench --hours 0.5 --seed 1985 --jobs 4 --json \
     > target/artifacts/BENCH_5.json
 awk -F'[:,]' '
@@ -177,7 +178,7 @@ echo "   wrote target/artifacts/BENCH_5.json"
 echo "== columnar batched decode benchmark artifact"
 # Scalar record-at-a-time decode vs the columnar RecordBlock path over
 # an uncompressed archive (so varint decode is what's measured, not
-# LZ77), plus end-to-end replay throughput through Simulator::run_blocks.
+# LZ77), plus end-to-end replay throughput through Simulator::run_fill.
 # The binary asserts bit-identical decode output; the gate requires the
 # batched path to clear 2x the scalar baseline's records/s. Like the
 # BENCH_5 gate this is core-count-adaptive: on a single shared core the

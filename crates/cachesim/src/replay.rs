@@ -767,27 +767,12 @@ impl Simulator {
     }
 
     /// Expands and replays columnar record blocks — the batched-decode
-    /// twin of [`Simulator::run_stream`], fed straight from
-    /// `tracestore::Archive::blocks` or any [`fstrace::RecordBlock`]
-    /// producer.
-    pub fn run_blocks<I>(blocks: I, config: &CacheConfig) -> CacheMetrics
-    where
-        I: IntoIterator,
-        I::Item: std::borrow::Borrow<fstrace::RecordBlock>,
-    {
-        let mut expander = EventExpander::new(config);
-        let mut r = Replayer::new(config);
-        for block in blocks {
-            expander.feed_block(std::borrow::Borrow::borrow(&block), &mut |ev| r.step(&ev));
-        }
-        r.finish()
-    }
-
-    /// Replays a refillable block source through one reused column
-    /// buffer — the allocation-free twin of [`Simulator::run_blocks`].
-    /// With a [`tracestore`]-style pipelined source the drained buffer
-    /// is handed back to the producer on every refill, so the steady
-    /// state allocates nothing.
+    /// twin of [`Simulator::run_stream`]. Takes any [`fstrace::FillBlock`]
+    /// source, which includes every owning `Iterator<Item = RecordBlock>`
+    /// (such as `tracestore::Archive::blocks` unwrapped). With a
+    /// `tracestore`-style pipelined source the drained buffer is handed
+    /// back to the producer on every refill, so the steady state
+    /// allocates nothing.
     pub fn run_fill<S: fstrace::FillBlock>(mut source: S, config: &CacheConfig) -> CacheMetrics {
         let mut expander = EventExpander::new(config);
         let mut r = Replayer::new(config);
@@ -989,7 +974,7 @@ mod tests {
     /// Replaying columnar blocks equals replaying the record stream,
     /// across block boundaries that split mid-file-session.
     #[test]
-    fn run_blocks_matches_run_stream() {
+    fn run_fill_matches_run_stream() {
         let trace = busy_trace();
         let mut buf = Vec::new();
         let mut prev = 0u64;
@@ -1012,7 +997,7 @@ mod tests {
                 simulate_paging: true,
                 ..cfg()
             };
-            let batched = Simulator::run_blocks(&blocks, &config);
+            let batched = Simulator::run_fill(blocks.into_iter(), &config);
             let streamed = Simulator::run_stream(trace.records(), &config);
             assert_eq!(batched, streamed, "step {step}");
         }

@@ -358,32 +358,6 @@ where
     out
 }
 
-/// Simulates every configuration against a replayable **block** stream
-/// — the columnar twin of [`run_source`] for batched-decode producers
-/// like `tracestore::Archive::blocks`.
-///
-/// `source` must yield the same blocks, in time order, each call (see
-/// [`run_source`] for how many calls a sweep makes); records are
-/// materialized from the columns one view at a time via
-/// [`fstrace::FillRecords`], which drains each block through one reused
-/// set of column buffers — so block producers that implement
-/// [`fstrace::FillBlock`] natively (e.g.
-/// `tracestore::PipelinedBlocks`) stream through the sweep with no
-/// per-chunk allocation, and plain block iterators work via the blanket
-/// impl. Grouping, profiling, and parallelism behavior is exactly
-/// [`run_source`]'s.
-pub fn run_block_source<S, F>(
-    source: F,
-    configs: &[CacheConfig],
-    jobs: usize,
-) -> Vec<(CacheConfig, CacheMetrics)>
-where
-    S: fstrace::FillBlock,
-    F: Fn() -> S,
-{
-    run_source(|| fstrace::FillRecords::new(source()), configs, jobs)
-}
-
 /// Runs one profiled subgroup under wall-clock timing, attributing an
 /// equal share of the pass to each of its `cells` cells so per-cell
 /// span counts and histograms stay comparable with direct cells.
@@ -546,42 +520,6 @@ mod tests {
             let streamed = run_source(|| trace.records().iter().copied(), &configs, jobs);
             let materialized = run_with_jobs(&trace, &configs, jobs);
             assert_eq!(streamed, materialized, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn run_block_source_matches_run_source() {
-        let trace = small_trace();
-        let mut buf = Vec::new();
-        let mut prev = 0u64;
-        for r in trace.records() {
-            prev = fstrace::codec::encode_into(&mut buf, r, prev);
-        }
-        let blocks_of = |step: usize| {
-            let mut blocks = Vec::new();
-            let mut pos = 0;
-            let mut ticks = 0u64;
-            while pos < buf.len() {
-                let mut b = fstrace::RecordBlock::new();
-                ticks =
-                    fstrace::block::decode_block(&buf, &mut pos, ticks, buf.len(), step, &mut b)
-                        .expect("well-formed");
-                blocks.push(b);
-            }
-            blocks
-        };
-        let mut configs = grid();
-        configs.push(CacheConfig {
-            simulate_paging: true,
-            ..CacheConfig::default()
-        });
-        for step in [5usize, 1024] {
-            let blocks = blocks_of(step);
-            for jobs in [1, 3] {
-                let batched = run_block_source(|| blocks.iter().cloned(), &configs, jobs);
-                let streamed = run_source(|| trace.records().iter(), &configs, jobs);
-                assert_eq!(batched, streamed, "step {step} jobs {jobs}");
-            }
         }
     }
 

@@ -2,13 +2,15 @@
 //!
 //! The `tracestore` archive is a storage format, not a semantic layer:
 //! a sweep over records decoded from an archive — sequentially or
-//! chunk-parallel, compressed or not — must produce exactly the
+//! pipelined, compressed or not — must produce exactly the
 //! metrics of the same sweep over the original in-memory trace.
 
 use cachesim::{sweep, CacheConfig, RwHandling, WritePolicy};
 use fstrace::{AccessMode, FileId, Trace, TraceBuilder};
+use std::sync::Arc;
+
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter};
+use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
 
 /// A seeded trace with enough volume to span several small chunks.
 fn seeded_trace(seed: u64, opens: usize) -> Trace {
@@ -90,15 +92,19 @@ fn archive_fed_sweep_matches_in_memory_sweep() {
     let baseline = sweep::run(&trace, &configs);
 
     for compress in [false, true] {
-        let archive = archive_of(&trace, compress);
+        let archive = Arc::new(archive_of(&trace, compress));
         assert!(
             archive.chunks().len() > 2,
             "want a multi-chunk archive, got {}",
             archive.chunks().len()
         );
         for jobs in [1, 4] {
-            let (records, report) = archive.decode_parallel(jobs);
-            assert!(report.is_clean());
+            let mut blocks = Arc::clone(&archive).pipelined(Corruption::Skip, jobs);
+            let mut records = Vec::new();
+            for block in &mut blocks {
+                block.unwrap().append_to(&mut records);
+            }
+            assert!(blocks.report().is_clean());
             let swept = sweep::run_source(|| records.iter(), &configs, jobs);
             assert_eq!(swept.len(), baseline.len());
             for ((ca, ma), (cb, mb)) in baseline.iter().zip(&swept) {
@@ -120,7 +126,7 @@ fn sequential_archive_source_feeds_sweep_directly() {
     let swept = sweep::run_source(
         || {
             archive
-                .records(tracestore::Corruption::Fail)
+                .records(Corruption::Fail)
                 .map(|r| r.expect("fresh archive cannot be corrupt"))
         },
         &configs,

@@ -53,11 +53,15 @@ pub fn load_trace(path: &Path, jobs: usize) -> Option<Trace> {
     }
     // Materialize through the overlapped decode pipeline: decode of
     // chunk i+1.. proceeds while chunk i's records append, and the
-    // pipeline.* stage spans populate for `repro --metrics`.
-    let total = archive.meta().total_records as usize;
+    // pipeline.* stage spans populate for `repro --metrics`. The
+    // footer's record total is a claim until every chunk verifies, so
+    // the reservation is capped at one record per archive byte (real
+    // archives spend several bytes on each): a lying footer can cost
+    // memory in proportion to the file, never more.
+    let claimed = archive.meta().total_records.min(archive.byte_len()) as usize;
     let archive = std::sync::Arc::new(archive);
     let mut blocks = std::sync::Arc::clone(&archive).pipelined(tracestore::Corruption::Skip, jobs);
-    let mut records = Vec::with_capacity(total);
+    let mut records = Vec::with_capacity(claimed);
     for b in (&mut blocks).flatten() {
         b.append_to(&mut records);
     }
@@ -151,6 +155,47 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, bytes).unwrap();
         assert!(load_trace(&path, 2).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_footer_is_a_cache_miss() {
+        use tracestore::format::{encode_footer, FOOTER_MAGIC, MAX_CHUNK_BYTES};
+        use tracestore::{ArchiveMeta, ChunkInfo};
+        let dir = std::env::temp_dir().join("bsdtrace-archive-test-forged");
+        let _ = fs::remove_dir_all(&dir);
+        let config = ReproConfig::default();
+        let path = trace_path(&dir, "c4", &config);
+        store_trace(&path, "c4", &small_trace());
+        let bytes = fs::read(&path).unwrap();
+        let archive = Archive::from_bytes(bytes.clone()).unwrap();
+        let last = archive.chunks().last().unwrap();
+        let body_start = (last.offset + last.frame_len()) as usize;
+        // Footers whose CRC matches but whose claims do not: a record
+        // total of u64::MAX, and entries that pass every header sanity
+        // rule while claiming far more records than the file holds.
+        let edits: [fn(&mut ArchiveMeta, &mut Vec<ChunkInfo>); 2] = [
+            |meta, _| meta.total_records = u64::MAX,
+            |meta, chunks| {
+                for c in chunks.iter_mut() {
+                    c.records = MAX_CHUNK_BYTES;
+                    c.raw_len = MAX_CHUNK_BYTES;
+                }
+                meta.total_records = chunks.len() as u64 * MAX_CHUNK_BYTES as u64;
+            },
+        ];
+        for edit in edits {
+            let (mut meta, mut chunks) = (archive.meta().clone(), archive.chunks().to_vec());
+            edit(&mut meta, &mut chunks);
+            let body = encode_footer(&meta, &chunks);
+            let mut forged = bytes[..body_start].to_vec();
+            forged.extend_from_slice(&body);
+            forged.extend_from_slice(&tracestore::crc32::crc32(&body).to_le_bytes());
+            forged.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            forged.extend_from_slice(&FOOTER_MAGIC);
+            fs::write(&path, forged).unwrap();
+            assert!(load_trace(&path, 2).is_none());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,10 +10,10 @@
 //!
 //! * pack and unpack throughput (raw trace Mbytes per second) and the
 //!   achieved compression ratio;
-//! * single-threaded vs `--jobs`-way chunk-parallel decode time
-//!   (best of five passes each after one untimed warm-up, so cold
-//!   caches and scheduler noise cannot fake a regression) and the
-//!   resulting speedup;
+//! * sequential (`Archive::read_all`) vs `--jobs`-worker pipelined
+//!   (`Archive::pipelined`) decode time (best of five passes each
+//!   after one untimed warm-up, so cold caches and scheduler noise
+//!   cannot fake a regression) and the resulting speedup;
 //! * scalar (record-at-a-time) vs columnar batched decode records/s
 //!   over an uncompressed archive — the replay-hot-path comparison —
 //!   plus end-to-end replay records/s through the batched pipeline;
@@ -29,10 +29,12 @@
 //! the speedup fields are gated only where enough cores exist for the
 //! timing to be stable (see the `cores` field and the ci.sh comments).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cachesim::{sweep, CacheConfig, WritePolicy};
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter};
+use fstrace::{FillBlock, RecordBlock};
+use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
 use workload::{generate, MachineProfile, WorkloadConfig};
 
 /// Table VI cache sizes in kbytes (390 KB UNIX baseline to 16 MB).
@@ -149,16 +151,26 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("archive finish: {e}")))
             .0
     });
-    let archive = Archive::from_bytes(bytes.clone())
-        .unwrap_or_else(|e| die(&format!("reopen packed archive: {e}")));
+    let archive = Arc::new(
+        Archive::from_bytes(bytes.clone())
+            .unwrap_or_else(|e| die(&format!("reopen packed archive: {e}"))),
+    );
     let chunks = archive.chunks().len();
     let stored: u64 = archive.chunks().iter().map(|c| c.stored_len as u64).sum();
     let raw_payload: u64 = archive.chunks().iter().map(|c| c.raw_len as u64).sum();
     let compression = obs::ratio(raw_payload, stored);
 
-    // Decode: single-threaded vs chunk-parallel, best of 5 each.
+    // Decode: sequential vs pipelined on `jobs` workers, best of 5 each.
     let (decode1_ms, (seq_records, seq_report)) = best_ms(5, || archive.read_all());
-    let (decode_par_ms, (par_records, par_report)) = best_ms(5, || archive.decode_parallel(jobs));
+    let (decode_par_ms, (par_records, par_report)) = best_ms(5, || {
+        let mut blocks = Arc::clone(&archive).pipelined(Corruption::Skip, jobs);
+        let mut block = RecordBlock::new();
+        let mut records = Vec::new();
+        while blocks.fill_next(&mut block) {
+            block.append_to(&mut records);
+        }
+        (records, blocks.report().clone())
+    });
     if !seq_report.is_clean() || !par_report.is_clean() {
         die("fresh archive failed verification");
     }
@@ -226,9 +238,9 @@ fn main() {
         ..CacheConfig::default()
     };
     let (replay_ms, _) = best_ms(5, || {
-        cachesim::Simulator::run_blocks(
+        cachesim::Simulator::run_fill(
             plain
-                .blocks(tracestore::Corruption::Fail)
+                .blocks(Corruption::Fail)
                 .map(|b| b.unwrap_or_else(|e| die(&format!("batched decode during replay: {e}")))),
             &replay_config,
         )

@@ -18,7 +18,8 @@
 //!   [`Simulator::run_fill`], so drained column buffers recycle back
 //!   to the decode workers and the steady state allocates nothing;
 //! * **full analysis** — decode plus the entire Section 5 analysis
-//!   suite (`run_analyzers_blocks`) through the pipelined reader.
+//!   suite (`AnalysisStream::observe_block`) through the pipelined
+//!   reader.
 //!
 //! Every timing is best-of-`--repeat` after one untimed warm-up pass
 //! (`warmup_runs` in the JSON records the policy). The pipelined
@@ -173,7 +174,7 @@ fn main() {
         ..CacheConfig::default()
     };
     let (replay_serial_ms, serial_metrics) = best_ms(repeat, || {
-        Simulator::run_blocks(
+        Simulator::run_fill(
             archive
                 .blocks(Corruption::Fail)
                 .map(|b| b.unwrap_or_else(|e| die(&format!("serial replay decode: {e}")))),
@@ -191,10 +192,13 @@ fn main() {
     // Full analysis: the entire Section 5 suite through the pipelined
     // reader, checked against the in-memory batch path.
     let (analysis_ms, pipe_suite) = best_ms(repeat, || {
-        fsanalysis::run_analyzers_blocks(
-            Arc::clone(&archive).pipelined(Corruption::Fail, workers),
-            &WINDOWS,
-        )
+        let mut src = Arc::clone(&archive).pipelined(Corruption::Fail, workers);
+        let mut stream = fsanalysis::AnalysisStream::new(&WINDOWS);
+        let mut block = fstrace::RecordBlock::new();
+        while src.fill_next(&mut block) {
+            stream.observe_block(&block);
+        }
+        stream.finish()
     });
     let serial_suite = fsanalysis::run_analyzers(trace.records(), &WINDOWS);
     let analysis_identical = format!("{pipe_suite:?}") == format!("{serial_suite:?}");

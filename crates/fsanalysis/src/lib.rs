@@ -43,5 +43,5 @@ pub use sequential::{
     RunLengthAnalysis, RunLengthBuilder, SequentialityBuilder, SequentialityReport,
 };
 pub use sizes::{FileSizeAnalysis, FileSizeBuilder};
-pub use stream::{run_analyzers, run_analyzers_blocks, AnalysisStream, AnalysisSuite, Analyzer};
+pub use stream::{run_analyzers, AnalysisStream, AnalysisSuite, Analyzer};
 pub use users::{UserActivity, UserAnalysis, UserAnalysisBuilder};

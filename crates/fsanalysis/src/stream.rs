@@ -217,25 +217,6 @@ where
     stream.finish()
 }
 
-/// Runs every analyzer over a **block** stream in a single pass: one
-/// reused [`fstrace::RecordBlock`] is refilled via
-/// [`fstrace::FillBlock`] and drained through
-/// [`AnalysisStream::observe_block`], so producers that recycle blocks
-/// (e.g. `tracestore::PipelinedBlocks`) feed the whole suite with no
-/// per-chunk allocation. Results are bit-identical to
-/// [`run_analyzers`] over the same records.
-pub fn run_analyzers_blocks<S: fstrace::FillBlock>(
-    mut source: S,
-    window_secs: &[u64],
-) -> AnalysisSuite {
-    let mut stream = AnalysisStream::new(window_secs);
-    let mut block = fstrace::RecordBlock::new();
-    while source.fill_next(&mut block) {
-        stream.observe_block(&block);
-    }
-    stream.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

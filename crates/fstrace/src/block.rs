@@ -27,8 +27,7 @@
 //! as the oracle.
 //!
 //! Consumers iterate the flat columns directly ([`RecordBlock::get`]
-//! materializes one record view on demand, [`BlockRecords`] adapts a
-//! block stream back into a record iterator), so the replay and
+//! materializes one record view on demand), so the replay and
 //! analysis loops never pay a per-record `next_record()` round-trip.
 
 use crate::codec::{
@@ -529,44 +528,6 @@ fn decode_one_wide(
     Ok(Some(ticks))
 }
 
-/// Flattens a stream of blocks into a stream of records.
-///
-/// The adapter the sweep engine and analyzers use to consume
-/// block-producing sources: each block's columns are walked in place,
-/// records materialized one view at a time.
-pub struct BlockRecords<I> {
-    blocks: I,
-    current: RecordBlock,
-    at: usize,
-}
-
-impl<I: Iterator<Item = RecordBlock>> BlockRecords<I> {
-    /// Wraps a block iterator.
-    pub fn new(blocks: I) -> Self {
-        BlockRecords {
-            blocks,
-            current: RecordBlock::new(),
-            at: 0,
-        }
-    }
-}
-
-impl<I: Iterator<Item = RecordBlock>> Iterator for BlockRecords<I> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.at < self.current.len() {
-                let rec = self.current.get(self.at);
-                self.at += 1;
-                return Some(rec);
-            }
-            self.current = self.blocks.next()?;
-            self.at = 0;
-        }
-    }
-}
-
 /// A block producer that refills a caller-owned [`RecordBlock`] in
 /// place — the allocation-free twin of `Iterator<Item = RecordBlock>`.
 ///
@@ -595,54 +556,6 @@ impl<I: Iterator<Item = RecordBlock>> FillBlock for I {
                 true
             }
             None => false,
-        }
-    }
-}
-
-/// Flattens a [`FillBlock`] source into a record iterator, reusing one
-/// [`RecordBlock`] for the entire stream.
-///
-/// This is what `cachesim::sweep::run_block_source` threads its record
-/// streams through: each refill overwrites the previous chunk's
-/// columns in place, so a multi-gigabyte archive replays with a single
-/// block's worth of column buffers no matter how many chunks it has.
-pub struct FillRecords<S> {
-    source: S,
-    current: RecordBlock,
-    at: usize,
-}
-
-impl<S: FillBlock> FillRecords<S> {
-    /// Wraps a refillable block source.
-    pub fn new(source: S) -> Self {
-        FillRecords {
-            source,
-            current: RecordBlock::new(),
-            at: 0,
-        }
-    }
-
-    /// The underlying source (e.g. to read a recovery report after the
-    /// stream ends).
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-}
-
-impl<S: FillBlock> Iterator for FillRecords<S> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.at < self.current.len() {
-                let rec = self.current.get(self.at);
-                self.at += 1;
-                return Some(rec);
-            }
-            if !self.source.fill_next(&mut self.current) {
-                return None;
-            }
-            self.at = 0;
         }
     }
 }
@@ -854,22 +767,5 @@ mod tests {
             assert_eq!(reader(&max, &mut pos).unwrap(), u64::MAX);
             assert_eq!(pos, 10);
         }
-    }
-
-    #[test]
-    fn block_records_flattens_a_block_stream() {
-        let records = sample_records();
-        let buf = encode(&records);
-        let mut blocks = Vec::new();
-        let mut pos = 0;
-        let mut prev = 0u64;
-        while pos < buf.len() {
-            let mut b = RecordBlock::new();
-            prev = decode_block(&buf, &mut pos, prev, buf.len(), 2, &mut b).expect("decodes");
-            blocks.push(b);
-        }
-        assert!(blocks.len() >= 3);
-        let got: Vec<TraceRecord> = BlockRecords::new(blocks.into_iter()).collect();
-        assert_eq!(got, records);
     }
 }

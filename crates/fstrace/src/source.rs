@@ -17,7 +17,6 @@ use std::collections::BinaryHeap;
 use std::io;
 use std::sync::OnceLock;
 
-use crate::block::RecordBlock;
 use crate::codec::{self, DecodeError, TraceWriter};
 use crate::event::{TraceEvent, TraceRecord};
 use crate::ids::{FileId, OpenId, Timestamp, UserId};
@@ -32,62 +31,6 @@ use crate::trace::Trace;
 pub trait RecordSource: Iterator<Item = Result<TraceRecord, DecodeError>> {}
 
 impl<T: Iterator<Item = Result<TraceRecord, DecodeError>> + ?Sized> RecordSource for T {}
-
-/// Flattens a fallible stream of [`RecordBlock`]s into a
-/// [`RecordSource`].
-///
-/// Batched producers (the archive's chunk decoder, flat-stream batch
-/// decoders) hand over whole blocks; this adapter walks each block's
-/// columns in place, materializing one record view per `next()`, so
-/// block producers compose with [`MergeSource`] and every other
-/// record-level consumer. Fail-stop: the first block error is yielded
-/// once and the source then fuses, matching the [`RecordSource`]
-/// contract.
-pub struct BlockRecordSource<I> {
-    blocks: I,
-    current: RecordBlock,
-    at: usize,
-    failed: bool,
-}
-
-impl<I: Iterator<Item = Result<RecordBlock, DecodeError>>> BlockRecordSource<I> {
-    /// Wraps a fallible block stream.
-    pub fn new(blocks: I) -> Self {
-        BlockRecordSource {
-            blocks,
-            current: RecordBlock::new(),
-            at: 0,
-            failed: false,
-        }
-    }
-}
-
-impl<I: Iterator<Item = Result<RecordBlock, DecodeError>>> Iterator for BlockRecordSource<I> {
-    type Item = Result<TraceRecord, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.failed {
-                return None;
-            }
-            if self.at < self.current.len() {
-                let rec = self.current.get(self.at);
-                self.at += 1;
-                return Some(Ok(rec));
-            }
-            match self.blocks.next()? {
-                Ok(block) => {
-                    self.current = block;
-                    self.at = 0;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
 
 /// A destination for a stream of trace records.
 ///
@@ -683,70 +626,6 @@ mod tests {
             b.close(t + 30, o, 1000);
         }
         b.finish()
-    }
-
-    /// Splits a trace's encoded form into blocks of `step` records.
-    fn blocks_of(trace: &Trace, step: usize) -> Vec<RecordBlock> {
-        let mut buf = Vec::new();
-        let mut prev = 0u64;
-        for r in trace.records() {
-            prev = codec::encode_into(&mut buf, r, prev);
-        }
-        let mut blocks = Vec::new();
-        let mut pos = 0;
-        let mut ticks = 0u64;
-        while pos < buf.len() {
-            let mut b = RecordBlock::new();
-            ticks = crate::block::decode_block(&buf, &mut pos, ticks, buf.len(), step, &mut b)
-                .expect("well-formed");
-            blocks.push(b);
-        }
-        blocks
-    }
-
-    #[test]
-    fn block_sources_merge_like_record_sources() {
-        let a = client(0, 5);
-        let b = client(35, 4);
-        let sources: Vec<_> = [&a, &b]
-            .into_iter()
-            .map(|t| {
-                (
-                    BlockRecordSource::new(blocks_of(t, 3).into_iter().map(Ok)),
-                    IdOffsets::default(),
-                )
-            })
-            .collect();
-        let streamed: Vec<TraceRecord> = MergeSource::new(sources)
-            .map(|r| r.expect("block merge is infallible here"))
-            .collect();
-        // The oracle: the same merge over plain record iterators.
-        let expected: Vec<TraceRecord> = MergeSource::new(
-            [&a, &b]
-                .into_iter()
-                .map(|t| {
-                    (
-                        t.records().to_vec().into_iter().map(Ok),
-                        IdOffsets::default(),
-                    )
-                })
-                .collect(),
-        )
-        .map(|r| r.expect("record merge is infallible here"))
-        .collect();
-        assert_eq!(streamed, expected);
-    }
-
-    #[test]
-    fn block_source_fuses_after_an_error() {
-        let a = client(0, 2);
-        let mut blocks: Vec<Result<RecordBlock, DecodeError>> =
-            blocks_of(&a, 1).into_iter().map(Ok).collect();
-        blocks.insert(1, Err(DecodeError::BadVarint));
-        let mut src = BlockRecordSource::new(blocks.into_iter());
-        assert!(src.next().unwrap().is_ok());
-        assert!(src.next().unwrap().is_err());
-        assert!(src.next().is_none());
     }
 
     #[test]

@@ -218,13 +218,17 @@ pub fn decode_footer(body: &[u8]) -> Result<(ArchiveMeta, Vec<ChunkInfo>), Decod
     let mut chunks = Vec::with_capacity(n.min(1 << 20));
     let mut prev_offset = 0u64;
     for _ in 0..n {
-        let offset = prev_offset + get_varint(body, &mut pos)?;
+        let offset = prev_offset
+            .checked_add(get_varint(body, &mut pos)?)
+            .ok_or_else(bad)?;
         prev_offset = offset;
         let records = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
         let raw_len = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
         let stored_len = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
         let first_ticks = get_varint(body, &mut pos)?;
-        let last_ticks = first_ticks + get_varint(body, &mut pos)?;
+        let last_ticks = first_ticks
+            .checked_add(get_varint(body, &mut pos)?)
+            .ok_or_else(bad)?;
         let compressed = match get_varint(body, &mut pos)? {
             0 => false,
             1 => true,
@@ -335,6 +339,17 @@ mod tests {
         let mut noisy = body.clone();
         noisy.push(0);
         assert!(decode_footer(&noisy).is_err());
+        // An offset delta that runs past u64::MAX is garbage, not a
+        // panic: bump the first chunk's delta from 1 to 2 so the
+        // second's lands one past the end.
+        let at = |offset| ChunkInfo {
+            offset,
+            ..sample_chunk()
+        };
+        let mut overflowing = encode_footer(&ArchiveMeta::default(), &[at(1), at(u64::MAX)]);
+        assert_eq!(overflowing[6], 1, "the first offset delta");
+        overflowing[6] = 2;
+        assert!(decode_footer(&overflowing).is_err());
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   count, max ids) and every chunk's offset, length, record count,
 //!   and time range — so a reader can seek to a time window or fan
 //!   chunks out to worker threads without a preparatory scan.
-//! * **Recovery.** A missing or corrupt footer degrades to a scan that
-//!   rebuilds the index from intact frames; a corrupt chunk can be
-//!   skipped, losing exactly that chunk's records, with the loss
-//!   itemized in a [`RecoveryReport`].
+//! * **Recovery.** A missing, corrupt, or self-inconsistent footer
+//!   degrades to a scan that rebuilds the index from intact frames; a
+//!   corrupt chunk can be skipped, losing exactly that chunk's
+//!   records, with the loss itemized in a [`RecoveryReport`].
 //!
 //! Compression is per-chunk and optional (an LZ77 variant implemented
 //! in [`compress`] — the build is offline, so no external codec), and
@@ -33,6 +33,15 @@
 //! [`PipelinedBlocks`] ([`Archive::pipelined`]) overlaps chunk
 //! verify/decompress/decode with the consumer on a worker pool while
 //! staying byte-identical to the sequential readers.
+//!
+//! There is one read path. Every reader — [`Archive::blocks`],
+//! [`Archive::records`], [`Archive::records_in_ticks`],
+//! [`Archive::read_all`], and the pipeline — reads a chunk through one
+//! verify → decompress step and settles each chunk's outcome, in chunk
+//! order, in one state machine that applies the [`Corruption`] policy,
+//! keeps the [`RecoveryReport`], and publishes the read counters. Over
+//! the same chunk selection the readers cannot differ in records,
+//! report, or first error.
 //!
 //! The `tracefmt` binary (this crate) packs, unpacks, inspects, and
 //! verifies archives alongside its flat-format duties.
@@ -157,10 +166,14 @@ mod tests {
     fn parallel_decode_matches_sequential() {
         let records = sample_records(800);
         let bytes = write_archive(&records, tiny_chunks());
-        let archive = Archive::from_bytes(bytes).unwrap();
+        let archive = std::sync::Arc::new(Archive::from_bytes(bytes).unwrap());
         for jobs in [1, 2, 3, 8] {
-            let (got, report) = archive.decode_parallel(jobs);
-            assert!(report.is_clean());
+            let mut blocks = std::sync::Arc::clone(&archive).pipelined(Corruption::Skip, jobs);
+            let mut got = Vec::new();
+            for block in &mut blocks {
+                block.unwrap().append_to(&mut got);
+            }
+            assert!(blocks.report().is_clean());
             assert_eq!(got, records, "jobs={jobs}");
         }
     }
@@ -252,6 +265,56 @@ mod tests {
         let (got, report) = archive.read_all();
         assert!(report.footer_rebuilt && report.bad_chunks.is_empty());
         assert_eq!(got, records);
+    }
+
+    /// Rewrites `bytes`' footer after `edit`, with a matching CRC — a
+    /// forged footer that only the index checks can catch.
+    fn forge_footer(
+        bytes: &[u8],
+        edit: impl FnOnce(&mut ArchiveMeta, &mut Vec<ChunkInfo>),
+    ) -> Vec<u8> {
+        let archive = Archive::from_bytes(bytes.to_vec()).unwrap();
+        let (mut meta, mut chunks) = (archive.meta().clone(), archive.chunks().to_vec());
+        let body_start = chunks
+            .last()
+            .map_or(format::HEADER_LEN as u64, |c| c.offset + c.frame_len())
+            as usize;
+        edit(&mut meta, &mut chunks);
+        let body = format::encode_footer(&meta, &chunks);
+        let mut out = bytes[..body_start].to_vec();
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32::crc32(&body).to_le_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&format::FOOTER_MAGIC);
+        out
+    }
+
+    #[test]
+    fn forged_footer_is_rebuilt_by_scanning() {
+        let records = sample_records(500);
+        let bytes = write_archive(&records, tiny_chunks());
+        let honest = forge_footer(&bytes, |_, _| {});
+        assert_eq!(honest, bytes, "an unedited forge is the written footer");
+        let forgeries = [
+            forge_footer(&bytes, |meta, _| meta.total_records = u64::MAX),
+            forge_footer(&bytes, |meta, chunks| {
+                meta.total_records += u32::MAX as u64 - chunks[1].records as u64;
+                chunks[1].records = u32::MAX;
+            }),
+        ];
+        for forged in forgeries {
+            let archive = Archive::from_bytes(forged).unwrap();
+            assert!(archive.footer_rebuilt());
+            assert_eq!(archive.meta().total_records, records.len() as u64);
+            let (got, report) = archive.read_all();
+            assert!(report.footer_rebuilt && report.bad_chunks.is_empty());
+            assert_eq!(got, records);
+            let got: Vec<_> = archive
+                .records(Corruption::Fail)
+                .map(|r| r.unwrap())
+                .collect();
+            assert_eq!(got, records);
+        }
     }
 
     #[test]

@@ -31,13 +31,14 @@
 //!
 //! # Byte identity
 //!
-//! Workers report a damaged chunk as an opaque failure; **only the
-//! consumer** turns it into [`DecodeError::CorruptChunk`], appends the
-//! [`BadChunk`] to the report, and bumps the skip counter — in chunk
-//! order, exactly as the sequential [`Archive::blocks`] reader does, so
-//! the record stream (and the recovery report) is byte-identical to a
-//! sequential read for any worker count, in both `Skip` and `Fail`
-//! modes.
+//! Workers run the same chunk read step as the sequential readers and
+//! report a damaged chunk as an opaque failure. **Only the consumer**
+//! acts on it, by handing each chunk's outcome, in chunk order, to the
+//! same state machine the sequential [`Archive::blocks`] reader uses:
+//! it builds the [`DecodeError::CorruptChunk`], the recovery report,
+//! and the counters. So the record stream (and the recovery report) is
+//! byte-identical to a sequential read for any worker count, in both
+//! `Skip` and `Fail` modes.
 //!
 //! # Allocation recycling
 //!
@@ -63,7 +64,7 @@ use fstrace::block::RecordBlock;
 use fstrace::codec::DecodeError;
 use fstrace::FillBlock;
 
-use crate::reader::{Archive, BadChunk, Corruption, RecoveryReport};
+use crate::reader::{Archive, ChunkOrder, Corruption, ReadSpans, RecoveryReport};
 
 /// How long a blocked ring wait sleeps before re-checking shutdown.
 const WAIT_TICK: Duration = Duration::from_millis(20);
@@ -109,18 +110,12 @@ struct Shared {
 pub struct PipelinedBlocks {
     shared: Arc<Shared>,
     workers: Vec<thread::JoinHandle<()>>,
-    /// Next chunk index the consumer takes.
-    next_take: usize,
-    total: usize,
-    mode: Corruption,
-    report: RecoveryReport,
-    failed: bool,
+    /// Takes every chunk, in the order the ring delivers them.
+    order: ChunkOrder,
     /// When the previous block was handed out — the consumer's time
     /// until the next call is the `pipeline.replay` stage.
     last_yield: Option<Instant>,
     replay_span: obs::Span,
-    /// Set once the end-of-archive read counters have been emitted.
-    published: bool,
 }
 
 impl PipelinedBlocks {
@@ -141,10 +136,7 @@ impl PipelinedBlocks {
                 freed: Condvar::new(),
             })
             .collect();
-        let report = RecoveryReport {
-            footer_rebuilt: archive.footer_rebuilt(),
-            ..RecoveryReport::default()
-        };
+        let order = ChunkOrder::new(&archive, (0..total).collect(), mode);
         let shared = Arc::new(Shared {
             archive,
             slots,
@@ -163,20 +155,15 @@ impl PipelinedBlocks {
         PipelinedBlocks {
             shared,
             workers: handles,
-            next_take: 0,
-            total,
-            mode,
-            report,
-            failed: false,
+            order,
             last_yield: None,
             replay_span: obs::global().span("pipeline.replay"),
-            published: false,
         }
     }
 
     /// What has been skipped so far (complete once iteration ends).
     pub fn report(&self) -> &RecoveryReport {
-        &self.report
+        self.order.report()
     }
 
     /// Returns a drained block to the recycle pool for workers to
@@ -185,27 +172,27 @@ impl PipelinedBlocks {
     pub fn recycle(&self, block: RecordBlock) {
         recover(self.shared.pool.lock()).push(block);
     }
+}
 
-    /// Waits until slot `i % cap` holds chunk `i` and takes it.
-    /// `None` means the worker pool died without depositing — the
-    /// consumer treats the chunk as lost, like `decode_parallel` does.
-    fn take(&mut self, i: usize) -> Option<Result<RecordBlock, ()>> {
-        let slot = &self.shared.slots[i % self.shared.slots.len()];
-        let mut g = recover(slot.inner.lock());
-        loop {
-            if g.next_fill == i && g.value.is_some() {
-                let val = g.value.take();
-                g.next_fill = i + self.shared.slots.len();
-                drop(g);
-                slot.freed.notify_all();
-                self.shared.occupancy.fetch_sub(1, Ordering::Relaxed);
-                return val;
-            }
-            if self.shared.live_workers.load(Ordering::Acquire) == 0 {
-                return None;
-            }
-            g = recover(slot.ready.wait_timeout(g, WAIT_TICK)).0;
+/// Waits until slot `i % cap` holds chunk `i` and takes it. `None`
+/// means the worker pool died without depositing — the consumer treats
+/// the chunk as lost.
+fn take(shared: &Shared, i: usize) -> Option<Result<RecordBlock, ()>> {
+    let slot = &shared.slots[i % shared.slots.len()];
+    let mut g = recover(slot.inner.lock());
+    loop {
+        if g.next_fill == i && g.value.is_some() {
+            let val = g.value.take();
+            g.next_fill = i + shared.slots.len();
+            drop(g);
+            slot.freed.notify_all();
+            shared.occupancy.fetch_sub(1, Ordering::Relaxed);
+            return val;
         }
+        if shared.live_workers.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        g = recover(slot.ready.wait_timeout(g, WAIT_TICK)).0;
     }
 }
 
@@ -216,61 +203,14 @@ impl Iterator for PipelinedBlocks {
         if let Some(at) = self.last_yield.take() {
             self.replay_span.record_ns(at.elapsed().as_nanos() as u64);
         }
-        loop {
-            if self.failed {
-                return None;
-            }
-            if self.next_take >= self.total {
-                // End of archive: emit the whole-pass read counters
-                // once, like `read_all`/`decode_parallel` do. The
-                // per-skip counter was already bumped as skips
-                // happened, so it is not re-added here.
-                if !self.published {
-                    self.published = true;
-                    let reg = obs::global();
-                    let archive = &self.shared.archive;
-                    reg.counter("tracestore.bytes_read").add(archive.byte_len());
-                    reg.counter("tracestore.chunks_read")
-                        .add(self.total as u64 - self.report.chunks_skipped());
-                    reg.counter("tracestore.records_read").add(
-                        archive
-                            .meta()
-                            .total_records
-                            .saturating_sub(self.report.records_lost()),
-                    );
-                }
-                return None;
-            }
-            let i = self.next_take;
-            self.next_take += 1;
-            match self.take(i) {
-                Some(Ok(block)) => {
-                    self.last_yield = Some(Instant::now());
-                    return Some(Ok(block));
-                }
-                Some(Err(())) | None => {
-                    let info = &self.shared.archive.chunks()[i];
-                    self.report.bad_chunks.push(BadChunk {
-                        index: i as u64,
-                        offset: info.offset,
-                        records_lost: info.records as u64,
-                    });
-                    obs::global()
-                        .counter("tracestore.chunks_skipped_corrupt")
-                        .inc();
-                    match self.mode {
-                        Corruption::Fail => {
-                            self.failed = true;
-                            return Some(Err(DecodeError::CorruptChunk {
-                                index: i as u64,
-                                offset: info.offset,
-                            }));
-                        }
-                        Corruption::Skip => continue,
-                    }
-                }
-            }
+        let shared = &self.shared;
+        let item = self
+            .order
+            .next(&shared.archive, |i| take(shared, i).unwrap_or(Err(())))?;
+        if item.is_ok() {
+            self.last_yield = Some(Instant::now());
         }
+        Some(item)
     }
 }
 
@@ -320,8 +260,10 @@ impl Drop for WorkerGuard<'_> {
 fn worker_loop(shared: &Shared) {
     let _guard = WorkerGuard(shared);
     let reg = obs::global();
-    let read_span = reg.span("pipeline.read");
-    let decompress_span = reg.span("pipeline.decompress");
+    let read_spans = ReadSpans {
+        read: reg.span("pipeline.read"),
+        decompress: reg.span("pipeline.decompress"),
+    };
     let decode_span = reg.span("pipeline.decode");
     let occupancy_peak = reg.gauge("pipeline.ring_occupancy_peak");
     let archive = &shared.archive;
@@ -337,14 +279,9 @@ fn worker_loop(shared: &Shared) {
         }
         let mut block = recover(shared.pool.lock()).pop().unwrap_or_default();
         let res: Result<RecordBlock, ()> = (|| {
-            let t = Instant::now();
-            let payload = archive.verify_chunk(i).map_err(|_| ())?;
-            read_span.record_ns(t.elapsed().as_nanos() as u64);
-            let t = Instant::now();
             let raw = archive
-                .decompress_chunk(i, payload, &mut scratch)
-                .map_err(|_| ())?;
-            decompress_span.record_ns(t.elapsed().as_nanos() as u64);
+                .read_chunk(i, &mut scratch, Some(&read_spans))
+                .map_err(drop)?;
             let t = Instant::now();
             archive
                 .decode_chunk_from(i, raw, &mut block)

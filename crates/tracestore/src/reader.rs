@@ -4,7 +4,9 @@
 //! the 12-byte trailer, checksum the body, and the chunk index is
 //! available without touching a single chunk. When the trailer or body
 //! is missing or corrupt (a crashed writer, a truncated copy, bit rot
-//! in the index itself), [`Archive::open`] falls back to a *scan*: walk
+//! in the index itself), or the index contradicts itself (an entry no
+//! chunk header could carry, a record total that is not the entries'
+//! sum), [`Archive::open`] falls back to a *scan*: walk
 //! the file for the chunk magic, validate each candidate frame by CRC,
 //! and rebuild the index from what survives. False positives are
 //! rejected by the checksum, so a successful scan recovers every intact
@@ -14,24 +16,28 @@
 //! surfaces the first bad chunk as a [`DecodeError::CorruptChunk`];
 //! `Skip` drops exactly that chunk's records, counts them in the
 //! [`RecoveryReport`], and resumes at the next chunk — the neighbours
-//! are untouched because every chunk decodes independently.
+//! are untouched because every chunk decodes independently. That rule
+//! lives in one place, the private `ChunkOrder` state machine, which
+//! every reader ([`ArchiveBlocks`], [`ArchiveRecords`],
+//! [`crate::PipelinedBlocks`], [`Archive::read_all`]) feeds its chunk
+//! outcomes through in chunk order; every reader likewise gets a
+//! chunk's bytes from one read step, verify → decompress.
 
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
+use std::time::Instant;
 
 use fstrace::block::{decode_block, RecordBlock};
 use fstrace::codec::{decode_from, DecodeError};
 use fstrace::TraceRecord;
 
-use crate::compress::{decompress, decompress_into};
+use crate::compress::decompress_into;
 use crate::crc32::crc32;
 use crate::format::{
-    chunk_crc, decode_chunk_header, decode_footer, ArchiveMeta, ChunkInfo, ARCHIVE_MAGIC,
-    ARCHIVE_VERSION, CHUNK_HEADER_LEN, CHUNK_MAGIC, FOOTER_MAGIC, HEADER_LEN, TRAILER_LEN,
+    chunk_crc, decode_chunk_header, decode_footer, encode_chunk_header, ArchiveMeta, ChunkInfo,
+    ARCHIVE_MAGIC, ARCHIVE_VERSION, CHUNK_HEADER_LEN, CHUNK_MAGIC, FOOTER_MAGIC, HEADER_LEN,
+    TRAILER_LEN,
 };
 
 /// What a reader does when a chunk fails verification.
@@ -179,97 +185,100 @@ impl Archive {
         self.bytes.len() as u64
     }
 
-    /// Chunk-read stage 1: bounds-check the frame, re-parse the on-disk
-    /// header against the index entry, and CRC the payload. Returns the
-    /// *stored* (possibly compressed) payload slice. Splitting the read
-    /// this way lets the pipeline time and overlap each stage.
-    pub(crate) fn verify_chunk(&self, index: usize) -> Result<&[u8], DecodeError> {
-        let info = &self.chunks[index];
-        let corrupt = || DecodeError::CorruptChunk {
+    /// The error every failed read of chunk `index` reports.
+    fn corrupt(&self, index: usize) -> DecodeError {
+        DecodeError::CorruptChunk {
             index: index as u64,
-            offset: info.offset,
-        };
+            offset: self.chunks[index].offset,
+        }
+    }
+
+    /// Bounds-checks chunk `index`'s frame, re-parses the on-disk header
+    /// against the index entry, and CRCs the payload. Returns the
+    /// *stored* (possibly compressed) payload slice.
+    fn verify_chunk(&self, index: usize) -> Result<&[u8], DecodeError> {
+        let info = &self.chunks[index];
         let start = info.offset as usize;
         let payload_at = start + CHUNK_HEADER_LEN;
         let end = payload_at + info.stored_len as usize;
-        let frame = self.bytes.get(start..end).ok_or_else(corrupt)?;
+        let frame = self
+            .bytes
+            .get(start..end)
+            .ok_or_else(|| self.corrupt(index))?;
         // Re-parse the on-disk header and require it to agree with the
         // index entry: a footer-sourced index must also match the file.
-        let on_disk = decode_chunk_header(frame, info.offset).ok_or_else(corrupt)?;
+        let on_disk = decode_chunk_header(frame, info.offset).ok_or_else(|| self.corrupt(index))?;
         if on_disk != *info {
-            return Err(corrupt());
+            return Err(self.corrupt(index));
         }
         let payload = &frame[CHUNK_HEADER_LEN..];
         if chunk_crc(info, payload) != info.crc {
-            return Err(corrupt());
+            return Err(self.corrupt(index));
         }
         Ok(payload)
     }
 
-    /// Chunk-read stage 2: decompress stage 1's payload into `scratch`
-    /// when the chunk is stored compressed (clearing and reusing the
-    /// buffer); passthrough chunks borrow straight from the archive.
-    pub(crate) fn decompress_chunk<'a>(
+    /// The chunk read step every reader shares: verify the frame, then
+    /// decompress its payload into `scratch` (cleared and reused);
+    /// passthrough chunks borrow straight from the archive. `spans`
+    /// times the two stages for the pipeline's workers.
+    pub(crate) fn read_chunk<'a>(
         &'a self,
         index: usize,
-        payload: &'a [u8],
         scratch: &'a mut Vec<u8>,
+        spans: Option<&ReadSpans>,
     ) -> Result<&'a [u8], DecodeError> {
         let info = &self.chunks[index];
-        if !info.compressed {
-            return Ok(payload);
+        let t = Instant::now();
+        let payload = self.verify_chunk(index)?;
+        if let Some(s) = spans {
+            s.read.record_ns(t.elapsed().as_nanos() as u64);
         }
-        decompress_into(payload, info.raw_len as usize, scratch).map_err(|_| {
-            DecodeError::CorruptChunk {
-                index: index as u64,
-                offset: info.offset,
-            }
-        })?;
-        Ok(scratch)
+        let t = Instant::now();
+        let raw = if info.compressed {
+            decompress_into(payload, info.raw_len as usize, scratch)
+                .map_err(|_| self.corrupt(index))?;
+            &scratch[..]
+        } else {
+            payload
+        };
+        if let Some(s) = spans {
+            s.decompress.record_ns(t.elapsed().as_nanos() as u64);
+        }
+        Ok(raw)
     }
 
-    /// Chunk-read stage 3: batched decode of a verified, decompressed
-    /// payload into `out`'s columns. Same contract as
-    /// [`Archive::decode_chunk_into`]: `out` is cleared first and left
-    /// empty on error.
+    /// Batched decode of a verified, decompressed payload into `out`'s
+    /// columns. `out` is cleared first and left empty on error.
     pub(crate) fn decode_chunk_from(
         &self,
         index: usize,
         raw: &[u8],
         out: &mut RecordBlock,
     ) -> Result<(), DecodeError> {
-        let info = &self.chunks[index];
-        let corrupt = || DecodeError::CorruptChunk {
-            index: index as u64,
-            offset: info.offset,
-        };
+        let records = self.chunks[index].records as usize;
         let mut pos = 0usize;
         out.clear();
-        out.reserve(info.records as usize);
+        out.reserve(records);
         let decoded = decode_block(raw, &mut pos, 0, raw.len(), usize::MAX, out);
-        if decoded.is_err() || pos != raw.len() || out.len() != info.records as usize {
+        if decoded.is_err() || pos != raw.len() || out.len() != records {
             out.clear();
-            return Err(corrupt());
+            return Err(self.corrupt(index));
         }
         Ok(())
     }
 
-    /// Verifies a chunk's frame and returns its raw (decompressed)
-    /// record payload, shared by the batched and scalar decoders.
-    fn chunk_payload(&self, index: usize) -> Result<std::borrow::Cow<'_, [u8]>, DecodeError> {
-        let info = &self.chunks[index];
-        let payload = self.verify_chunk(index)?;
-        if info.compressed {
-            let raw = decompress(payload, info.raw_len as usize).map_err(|_| {
-                DecodeError::CorruptChunk {
-                    index: index as u64,
-                    offset: info.offset,
-                }
-            })?;
-            Ok(std::borrow::Cow::Owned(raw))
-        } else {
-            Ok(std::borrow::Cow::Borrowed(payload))
-        }
+    /// [`Archive::decode_chunk_into`] with a caller-owned decompression
+    /// buffer, so a sequential pass reuses one across chunks.
+    fn decode_chunk_with(
+        &self,
+        index: usize,
+        scratch: &mut Vec<u8>,
+        out: &mut RecordBlock,
+    ) -> Result<(), DecodeError> {
+        out.clear();
+        let raw = self.read_chunk(index, scratch, None)?;
+        self.decode_chunk_from(index, raw, out)
     }
 
     /// Verifies one chunk and decodes it into `out`'s columns in a
@@ -281,8 +290,7 @@ impl Archive {
         index: usize,
         out: &mut RecordBlock,
     ) -> Result<(), DecodeError> {
-        let raw = self.chunk_payload(index)?;
-        self.decode_chunk_from(index, &raw, out)
+        self.decode_chunk_with(index, &mut Vec::new(), out)
     }
 
     /// Verifies and decodes one chunk record-at-a-time with the scalar
@@ -290,22 +298,19 @@ impl Archive {
     /// property tests decode both ways) and as the baseline the
     /// `BENCH_6` decode-throughput gate measures against.
     fn decode_chunk_scalar(&self, index: usize) -> Result<Vec<TraceRecord>, DecodeError> {
-        let info = &self.chunks[index];
-        let corrupt = || DecodeError::CorruptChunk {
-            index: index as u64,
-            offset: info.offset,
-        };
-        let raw = self.chunk_payload(index)?;
-        let mut records = Vec::with_capacity(info.records as usize);
+        let mut scratch = Vec::new();
+        let raw = self.read_chunk(index, &mut scratch, None)?;
+        let mut records = Vec::with_capacity(self.chunks[index].records as usize);
         let mut pos = 0usize;
         let mut prev_ticks = 0u64;
         while pos < raw.len() {
-            let (rec, ticks) = decode_from(&raw, &mut pos, prev_ticks).map_err(|_| corrupt())?;
+            let (rec, ticks) =
+                decode_from(raw, &mut pos, prev_ticks).map_err(|_| self.corrupt(index))?;
             prev_ticks = ticks;
             records.push(rec);
         }
-        if records.len() != info.records as usize {
-            return Err(corrupt());
+        if records.len() != self.chunks[index].records as usize {
+            return Err(self.corrupt(index));
         }
         Ok(records)
     }
@@ -314,7 +319,7 @@ impl Archive {
     /// policy. The iterator's [`ArchiveRecords::report`] says what was
     /// skipped once iteration ends.
     pub fn records(&self, mode: Corruption) -> ArchiveRecords<'_> {
-        self.records_for_chunks(0..self.chunks.len(), mode)
+        ArchiveRecords::new(self.blocks(mode))
     }
 
     /// Iterates the records of the chunks whose time ranges intersect
@@ -329,35 +334,17 @@ impl Archive {
         end_ticks: u64,
         mode: Corruption,
     ) -> ArchiveRecords<'_> {
-        let sel: Vec<usize> = (0..self.chunks.len())
+        let selection = (0..self.chunks.len())
             .filter(|&i| self.chunks[i].overlaps_ticks(start_ticks, end_ticks))
             .collect();
-        ArchiveRecords::new(self, sel, mode)
-    }
-
-    fn records_for_chunks(
-        &self,
-        chunks: impl IntoIterator<Item = usize>,
-        mode: Corruption,
-    ) -> ArchiveRecords<'_> {
-        ArchiveRecords::new(self, chunks.into_iter().collect(), mode)
+        ArchiveRecords::new(ArchiveBlocks::new(self, selection, mode))
     }
 
     /// Iterates the archive chunk by chunk as decoded [`RecordBlock`]s
     /// under the given corruption policy — the block-level twin of
-    /// [`Archive::records`] for consumers that want whole columns
-    /// (`sweep::run_block_source`, `Simulator::run_blocks`).
+    /// [`Archive::records`] for consumers that want whole columns.
     pub fn blocks(&self, mode: Corruption) -> ArchiveBlocks<'_> {
-        ArchiveBlocks {
-            archive: self,
-            pending: (0..self.chunks.len()).collect::<Vec<_>>().into_iter(),
-            mode,
-            report: RecoveryReport {
-                footer_rebuilt: self.footer_rebuilt,
-                ..RecoveryReport::default()
-            },
-            failed: false,
-        }
+        ArchiveBlocks::new(self, (0..self.chunks.len()).collect(), mode)
     }
 
     /// Starts an overlapped decode pipeline over this archive: `workers`
@@ -375,27 +362,17 @@ impl Archive {
     }
 
     /// Decodes the whole archive into memory, skipping damaged chunks,
-    /// and reports what was lost. Single-threaded; see
-    /// [`Archive::decode_parallel`] for the multi-worker variant.
+    /// and reports what was lost: a drain of
+    /// [`Archive::blocks`]`(Corruption::Skip)`.
     pub fn read_all(&self) -> (Vec<TraceRecord>, RecoveryReport) {
-        let mut out = Vec::with_capacity(self.meta.total_records as usize);
-        let mut report = RecoveryReport {
-            footer_rebuilt: self.footer_rebuilt,
-            ..RecoveryReport::default()
-        };
+        let mut blocks = self.blocks(Corruption::Skip);
         let mut block = RecordBlock::new();
-        for i in 0..self.chunks.len() {
-            match self.decode_chunk_into(i, &mut block) {
-                Ok(()) => block.append_to(&mut out),
-                Err(_) => report.bad_chunks.push(BadChunk {
-                    index: i as u64,
-                    offset: self.chunks[i].offset,
-                    records_lost: self.chunks[i].records as u64,
-                }),
-            }
+        let mut out = Vec::new();
+        // Skip mode never yields an error.
+        while let Some(Ok(())) = blocks.fill(&mut block) {
+            block.append_to(&mut out);
         }
-        publish_read_metrics(self, &report);
-        (out, report)
+        (out, blocks.order.report)
     }
 
     /// [`Archive::read_all`] through the scalar record-at-a-time codec.
@@ -403,138 +380,154 @@ impl Archive {
     /// against, and the oracle the equivalence property tests use; it
     /// takes no part in production reads.
     pub fn read_all_scalar(&self) -> (Vec<TraceRecord>, RecoveryReport) {
-        let mut out = Vec::with_capacity(self.meta.total_records as usize);
-        let mut report = RecoveryReport {
-            footer_rebuilt: self.footer_rebuilt,
-            ..RecoveryReport::default()
-        };
-        for i in 0..self.chunks.len() {
-            match self.decode_chunk_scalar(i) {
-                Ok(recs) => out.extend(recs),
-                Err(_) => report.bad_chunks.push(BadChunk {
-                    index: i as u64,
-                    offset: self.chunks[i].offset,
-                    records_lost: self.chunks[i].records as u64,
-                }),
-            }
+        let mut order = ChunkOrder::new(self, (0..self.chunks.len()).collect(), Corruption::Skip);
+        let mut out = Vec::new();
+        while let Some(Ok(records)) =
+            order.next(self, |i| self.decode_chunk_scalar(i).map_err(drop))
+        {
+            out.extend(records);
         }
-        (out, report)
-    }
-
-    /// Decodes the whole archive with `jobs` workers, each claiming
-    /// chunks off a shared counter — the same work-stealing shape as
-    /// the cache simulator's sweep engine. Chunks are independent by
-    /// construction (per-chunk delta base), so workers never
-    /// coordinate; results are stitched back in chunk order, making the
-    /// output identical to [`Archive::read_all`] for any `jobs`.
-    pub fn decode_parallel(&self, jobs: usize) -> (Vec<TraceRecord>, RecoveryReport) {
-        let workers = jobs.max(1).min(self.chunks.len().max(1));
-        if workers <= 1 {
-            return self.read_all();
-        }
-        type Slot = Mutex<Option<Result<Vec<TraceRecord>, ()>>>;
-        let slots: Vec<Slot> = (0..self.chunks.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    // One block per worker, reused across the chunks it
-                    // claims, so steady-state decode does not allocate.
-                    let mut block = RecordBlock::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= self.chunks.len() {
-                            break;
-                        }
-                        let res = self
-                            .decode_chunk_into(i, &mut block)
-                            .map(|()| block.to_records())
-                            .map_err(|_| ());
-                        // A panicked peer poisons nothing we can't use:
-                        // the slot value is a plain Option, so recover
-                        // the guard and keep decoding.
-                        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(res);
-                    }
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(self.meta.total_records as usize);
-        let mut report = RecoveryReport {
-            footer_rebuilt: self.footer_rebuilt,
-            ..RecoveryReport::default()
-        };
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                Some(Ok(recs)) => out.extend(recs),
-                Some(Err(())) | None => report.bad_chunks.push(BadChunk {
-                    index: i as u64,
-                    offset: self.chunks[i].offset,
-                    records_lost: self.chunks[i].records as u64,
-                }),
-            }
-        }
-        publish_read_metrics(self, &report);
-        (out, report)
+        (out, order.report)
     }
 }
 
-/// Emits read-side counters for one full-archive decode pass.
-fn publish_read_metrics(archive: &Archive, report: &RecoveryReport) {
-    let reg = obs::global();
-    reg.counter("tracestore.bytes_read").add(archive.byte_len());
-    reg.counter("tracestore.chunks_read")
-        .add(archive.chunks.len() as u64 - report.chunks_skipped());
-    reg.counter("tracestore.chunks_skipped_corrupt")
-        .add(report.chunks_skipped());
-    reg.counter("tracestore.records_read").add(
-        archive
-            .meta
-            .total_records
-            .saturating_sub(report.records_lost()),
-    );
+/// The spans a pipeline worker times [`Archive::read_chunk`]'s two
+/// stages with.
+pub(crate) struct ReadSpans {
+    pub(crate) read: obs::Span,
+    pub(crate) decompress: obs::Span,
+}
+
+/// The per-chunk rule of every archive reader, kept in one place.
+///
+/// A reader hands it each selected chunk's outcome in chunk order; it
+/// decides what the reader yields. A bad chunk goes into the
+/// [`RecoveryReport`] and bumps `tracestore.chunks_skipped_corrupt`;
+/// then `Skip` moves on to the next chunk while `Fail` yields
+/// [`DecodeError::CorruptChunk`] once and fuses the reader. At the end
+/// of the selection it publishes the pass's `tracestore.*_read`
+/// counters, once. The inline, pipelined, and scalar readers differ
+/// only in how they produce an outcome, so they cannot differ in what
+/// the consumer observes.
+pub(crate) struct ChunkOrder {
+    /// Chunk indices to read, in archive order.
+    selection: Vec<usize>,
+    /// Position in `selection` of the next chunk to read.
+    next: usize,
+    mode: Corruption,
+    report: RecoveryReport,
+    /// Set after a `Fail`-mode error or the end of the selection.
+    done: bool,
+    /// Records in the chunks read intact so far.
+    records: u64,
+}
+
+impl ChunkOrder {
+    pub(crate) fn new(archive: &Archive, selection: Vec<usize>, mode: Corruption) -> ChunkOrder {
+        ChunkOrder {
+            selection,
+            next: 0,
+            mode,
+            report: RecoveryReport {
+                footer_rebuilt: archive.footer_rebuilt,
+                ..RecoveryReport::default()
+            },
+            done: false,
+            records: 0,
+        }
+    }
+
+    pub(crate) fn report(&self) -> &RecoveryReport {
+        &self.report
+    }
+
+    /// Runs `read` on the next selected chunk (and, in `Skip` mode, on
+    /// the ones after a bad chunk) and returns what the reader yields:
+    /// `read`'s output, the fusing error, or `None` at the end.
+    pub(crate) fn next<T>(
+        &mut self,
+        archive: &Archive,
+        mut read: impl FnMut(usize) -> Result<T, ()>,
+    ) -> Option<Result<T, DecodeError>> {
+        while !self.done {
+            let Some(&i) = self.selection.get(self.next) else {
+                self.done = true;
+                self.publish(archive);
+                break;
+            };
+            self.next += 1;
+            let info = &archive.chunks[i];
+            match read(i) {
+                Ok(out) => {
+                    self.records += info.records as u64;
+                    return Some(Ok(out));
+                }
+                Err(()) => {
+                    self.report.bad_chunks.push(BadChunk {
+                        index: i as u64,
+                        offset: info.offset,
+                        records_lost: info.records as u64,
+                    });
+                    obs::global()
+                        .counter("tracestore.chunks_skipped_corrupt")
+                        .inc();
+                    if self.mode == Corruption::Fail {
+                        self.done = true;
+                        return Some(Err(archive.corrupt(i)));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Emits the pass's read counters. The bytes read are the archive
+    /// less the frames of chunks outside the selection.
+    fn publish(&self, archive: &Archive) {
+        let all: u64 = archive.chunks.iter().map(ChunkInfo::frame_len).sum();
+        let selected: u64 = self
+            .selection
+            .iter()
+            .map(|&i| archive.chunks[i].frame_len())
+            .sum();
+        let unselected = all - selected;
+        let reg = obs::global();
+        reg.counter("tracestore.bytes_read")
+            .add(archive.byte_len().saturating_sub(unselected));
+        reg.counter("tracestore.chunks_read")
+            .add(self.selection.len() as u64 - self.report.chunks_skipped());
+        reg.counter("tracestore.records_read").add(self.records);
+    }
 }
 
 /// Sequential record iterator over a chunk selection; yields
 /// `Result<TraceRecord, DecodeError>`, so it is a
 /// [`fstrace::source::RecordSource`].
 ///
-/// Chunks decode batched into one reused [`RecordBlock`]; `next()`
-/// walks the block's columns with a cursor and materializes one record
-/// view at a time, so streaming an archive allocates per chunk at most
-/// (for decompression), never per record.
+/// It flattens an [`ArchiveBlocks`] reader: chunks decode batched into
+/// one reused [`RecordBlock`], and `next()` walks the block's columns
+/// with a cursor, materializing one record view at a time — so
+/// streaming an archive allocates per chunk at most, never per record.
 pub struct ArchiveRecords<'a> {
-    archive: &'a Archive,
-    /// Chunk indices still to decode, in order.
-    pending: std::vec::IntoIter<usize>,
+    blocks: ArchiveBlocks<'a>,
     /// Columns of the chunk being drained, reused across chunks.
     block: RecordBlock,
     /// Next unserved record in `block`.
     cursor: usize,
-    mode: Corruption,
-    report: RecoveryReport,
-    /// Set after a `Fail`-mode error: the iterator is fused off.
-    failed: bool,
 }
 
 impl<'a> ArchiveRecords<'a> {
-    fn new(archive: &'a Archive, chunks: Vec<usize>, mode: Corruption) -> Self {
+    fn new(blocks: ArchiveBlocks<'a>) -> Self {
         ArchiveRecords {
-            archive,
-            pending: chunks.into_iter(),
+            blocks,
             block: RecordBlock::new(),
             cursor: 0,
-            mode,
-            report: RecoveryReport {
-                footer_rebuilt: archive.footer_rebuilt,
-                ..RecoveryReport::default()
-            },
-            failed: false,
         }
     }
 
     /// What has been skipped so far (complete once iteration ends).
     pub fn report(&self) -> &RecoveryReport {
-        &self.report
+        self.blocks.report()
     }
 }
 
@@ -543,55 +536,49 @@ impl Iterator for ArchiveRecords<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.failed {
-                return None;
-            }
             if self.cursor < self.block.len() {
                 let rec = self.block.get(self.cursor);
                 self.cursor += 1;
                 return Some(Ok(rec));
             }
-            let i = self.pending.next()?;
-            match self.archive.decode_chunk_into(i, &mut self.block) {
-                Ok(()) => self.cursor = 0,
-                Err(e) => {
-                    self.report.bad_chunks.push(BadChunk {
-                        index: i as u64,
-                        offset: self.archive.chunks[i].offset,
-                        records_lost: self.archive.chunks[i].records as u64,
-                    });
-                    obs::global()
-                        .counter("tracestore.chunks_skipped_corrupt")
-                        .inc();
-                    match self.mode {
-                        Corruption::Fail => {
-                            self.failed = true;
-                            return Some(Err(e));
-                        }
-                        Corruption::Skip => continue,
-                    }
-                }
+            if let Err(e) = self.blocks.fill(&mut self.block)? {
+                return Some(Err(e));
             }
+            self.cursor = 0;
         }
     }
 }
 
 /// Chunk-granular block iterator: each `next()` verifies and decodes
-/// one whole chunk into an owned [`RecordBlock`]. Corruption policy and
-/// fusing mirror [`ArchiveRecords`]; wrap in
-/// [`fstrace::BlockRecordSource`] to get a record-level source again.
+/// one whole chunk of its selection into an owned [`RecordBlock`],
+/// under the [`Corruption`] policy every reader shares.
 pub struct ArchiveBlocks<'a> {
     archive: &'a Archive,
-    pending: std::vec::IntoIter<usize>,
-    mode: Corruption,
-    report: RecoveryReport,
-    failed: bool,
+    order: ChunkOrder,
+    /// Decompression buffer, reused across chunks.
+    scratch: Vec<u8>,
 }
 
-impl ArchiveBlocks<'_> {
+impl<'a> ArchiveBlocks<'a> {
+    fn new(archive: &'a Archive, selection: Vec<usize>, mode: Corruption) -> Self {
+        ArchiveBlocks {
+            archive,
+            order: ChunkOrder::new(archive, selection, mode),
+            scratch: Vec::new(),
+        }
+    }
+
     /// What has been skipped so far (complete once iteration ends).
     pub fn report(&self) -> &RecoveryReport {
-        &self.report
+        self.order.report()
+    }
+
+    /// Decodes the next chunk into `out`, reusing its column buffers.
+    fn fill(&mut self, out: &mut RecordBlock) -> Option<Result<(), DecodeError>> {
+        let (archive, scratch) = (self.archive, &mut self.scratch);
+        self.order.next(archive, |i| {
+            archive.decode_chunk_with(i, scratch, out).map_err(drop)
+        })
     }
 }
 
@@ -599,33 +586,8 @@ impl Iterator for ArchiveBlocks<'_> {
     type Item = Result<RecordBlock, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.failed {
-                return None;
-            }
-            let i = self.pending.next()?;
-            let mut block = RecordBlock::with_capacity(self.archive.chunks[i].records as usize);
-            match self.archive.decode_chunk_into(i, &mut block) {
-                Ok(()) => return Some(Ok(block)),
-                Err(e) => {
-                    self.report.bad_chunks.push(BadChunk {
-                        index: i as u64,
-                        offset: self.archive.chunks[i].offset,
-                        records_lost: self.archive.chunks[i].records as u64,
-                    });
-                    obs::global()
-                        .counter("tracestore.chunks_skipped_corrupt")
-                        .inc();
-                    match self.mode {
-                        Corruption::Fail => {
-                            self.failed = true;
-                            return Some(Err(e));
-                        }
-                        Corruption::Skip => continue,
-                    }
-                }
-            }
-        }
+        let mut block = RecordBlock::new();
+        Some(self.fill(&mut block)?.map(|()| block))
     }
 }
 
@@ -650,16 +612,24 @@ fn read_footer(bytes: &[u8]) -> Option<(ArchiveMeta, Vec<ChunkInfo>)> {
         return None;
     }
     let (meta, chunks) = decode_footer(body).ok()?;
-    // The index must describe this file: in-bounds, strictly ordered
-    // frames that all land before the footer body.
+    // The index must describe this file: entries that pass the chunk
+    // header's own sanity rules, in-bounds, strictly ordered frames
+    // that all land before the footer body, and a record total that is
+    // their sum. A matching CRC proves only that the footer is intact,
+    // not that it is honest; readers size nothing from it until each
+    // chunk verifies.
     let mut prev_end = HEADER_LEN as u64;
+    let mut records = 0u64;
     for c in &chunks {
-        if c.offset < prev_end || c.offset + c.frame_len() > body_start as u64 {
+        let sane = decode_chunk_header(&encode_chunk_header(c), c.offset).as_ref() == Some(c);
+        let end = c.offset.checked_add(c.frame_len())?;
+        if !sane || c.offset < prev_end || end > body_start as u64 {
             return None;
         }
-        prev_end = c.offset + c.frame_len();
+        prev_end = end;
+        records = records.checked_add(c.records as u64)?;
     }
-    Some((meta, chunks))
+    (meta.total_records == records).then_some((meta, chunks))
 }
 
 /// Rebuilds a chunk index by scanning for frame magics and validating

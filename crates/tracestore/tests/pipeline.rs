@@ -3,16 +3,22 @@
 //! same recovery report — for any worker count, in both corruption
 //! modes, on clean, damaged, and truncated archives. The whole point of
 //! [`PipelinedBlocks`] is that it changes *when* chunks decode, never
-//! *what* the consumer observes.
+//! *what* the consumer observes. The same holds for every other
+//! reader over the same chunk selection: `records`, `read_all`, and
+//! `records_in_ticks`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use fstrace::codec::DecodeError;
 use fstrace::{
     AccessMode, FileId, FillBlock, OpenId, RecordBlock, TraceEvent, TraceRecord, UserId,
 };
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
+use tracestore::{
+    Archive, ArchiveBlocks, ArchiveOptions, ArchiveRecords, ArchiveWriter, Corruption,
+    PipelinedBlocks, RecoveryReport,
+};
 
 fn write_archive(records: &[TraceRecord], chunk_target_bytes: usize, compress: bool) -> Vec<u8> {
     let mut w = ArchiveWriter::new(
@@ -56,53 +62,109 @@ fn sample_records(n: u64) -> Vec<TraceRecord> {
     out
 }
 
-/// Drains the sequential block reader into (records, report, errors).
-fn drain_sequential(
-    archive: &Archive,
-    mode: Corruption,
-) -> (Vec<TraceRecord>, tracestore::RecoveryReport, usize) {
-    let mut blocks = archive.blocks(mode);
-    let mut records = Vec::new();
-    let mut errors = 0usize;
-    for item in &mut blocks {
-        match item {
-            Ok(b) => b.append_to(&mut records),
-            Err(_) => errors += 1,
-        }
-    }
-    let report = blocks.report().clone();
-    (records, report, errors)
+/// What one pass of a reader observed: the records, the recovery
+/// report, and the error it stopped on, if any.
+#[derive(Debug, PartialEq)]
+struct Pass {
+    records: Vec<TraceRecord>,
+    report: RecoveryReport,
+    error: Option<String>,
 }
 
-/// Drains the pipeline the same way.
-fn drain_pipelined(
-    archive: &Arc<Archive>,
-    mode: Corruption,
-    workers: usize,
-) -> (Vec<TraceRecord>, tracestore::RecoveryReport, usize) {
-    let mut blocks = Arc::clone(archive).pipelined(mode, workers);
+/// Drains one reader, block- or record-level, into a [`Pass`].
+fn drain<I, T>(
+    mut reader: I,
+    report: fn(&I) -> &RecoveryReport,
+    mut keep: impl FnMut(T, &mut Vec<TraceRecord>),
+) -> Pass
+where
+    I: Iterator<Item = Result<T, DecodeError>>,
+{
     let mut records = Vec::new();
-    let mut errors = 0usize;
-    for item in &mut blocks {
+    let mut error = None;
+    for item in &mut reader {
         match item {
-            Ok(b) => b.append_to(&mut records),
-            Err(_) => errors += 1,
+            Ok(x) => keep(x, &mut records),
+            Err(e) => {
+                assert!(error.is_none(), "a reader yields at most one error");
+                error = Some(format!("{e:?}"));
+            }
         }
     }
-    let report = blocks.report().clone();
-    (records, report, errors)
+    Pass {
+        records,
+        report: report(&reader).clone(),
+        error,
+    }
+}
+
+fn drain_sequential(archive: &Archive, mode: Corruption) -> Pass {
+    drain(archive.blocks(mode), ArchiveBlocks::report, |b, out| {
+        b.append_to(out)
+    })
+}
+
+fn drain_pipelined(archive: &Arc<Archive>, mode: Corruption, workers: usize) -> Pass {
+    let blocks = Arc::clone(archive).pipelined(mode, workers);
+    drain(blocks, PipelinedBlocks::report, |b, out| b.append_to(out))
+}
+
+fn drain_records(records: ArchiveRecords<'_>) -> Pass {
+    drain(records, ArchiveRecords::report, |r, out| out.push(r))
 }
 
 /// Asserts pipeline ≡ sequential for every worker count under test.
 fn assert_identical(bytes: Vec<u8>, mode: Corruption) {
     let archive = Arc::new(Archive::from_bytes(bytes).expect("open"));
-    let (want_recs, want_report, want_errs) = drain_sequential(&archive, mode);
+    let want = drain_sequential(&archive, mode);
     for workers in [1usize, 2, 8] {
-        let (got_recs, got_report, got_errs) = drain_pipelined(&archive, mode, workers);
-        assert_eq!(got_recs, want_recs, "records, workers={workers}");
-        assert_eq!(got_report, want_report, "report, workers={workers}");
-        assert_eq!(got_errs, want_errs, "errors, workers={workers}");
+        let got = drain_pipelined(&archive, mode, workers);
+        assert_eq!(got, want, "workers={workers}");
     }
+}
+
+/// What a `mode` pass over the chunks in `selected` must observe,
+/// derived from `full`, a `Skip` pass over every chunk: each intact
+/// chunk's records in order, each bad chunk's loss, and in `Fail` mode
+/// a stop at the first bad chunk.
+fn restrict(archive: &Archive, full: &Pass, selected: &[usize], mode: Corruption) -> Pass {
+    let mut want = Pass {
+        records: Vec::new(),
+        report: RecoveryReport {
+            footer_rebuilt: full.report.footer_rebuilt,
+            bad_chunks: Vec::new(),
+        },
+        error: None,
+    };
+    let mut at = 0usize;
+    for (i, info) in archive.chunks().iter().enumerate() {
+        let bad = full.report.bad_chunks.iter().find(|b| b.index == i as u64);
+        let n = if bad.is_some() {
+            0
+        } else {
+            info.records as usize
+        };
+        let chunk = &full.records[at..at + n];
+        at += n;
+        if !selected.contains(&i) || want.error.is_some() {
+            continue;
+        }
+        match bad {
+            None => want.records.extend_from_slice(chunk),
+            Some(b) => {
+                want.report.bad_chunks.push(*b);
+                if mode == Corruption::Fail {
+                    let e = DecodeError::CorruptChunk {
+                        index: b.index,
+                        offset: b.offset,
+                    };
+                    want.error = Some(format!("{e:?}"));
+                }
+            }
+        }
+    }
+    assert_eq!(at, full.records.len());
+    want
 }
 
 #[test]
@@ -207,9 +269,12 @@ fn dropping_mid_stream_shuts_down_cleanly() {
 }
 
 proptest! {
-    /// Pipeline ≡ sequential for arbitrary streams, chunk sizes,
-    /// compression settings, worker counts, and mid-chunk corruption
-    /// under Skip mode.
+    /// Every reader ≡ every other over the same chunk selection, for
+    /// arbitrary streams, chunk sizes, compression settings, damage to
+    /// any one chunk, both corruption modes, and pipelines of 1, 2, and
+    /// 4 workers: `blocks`, `pipelined`, `records`, and (in `Skip`
+    /// mode) `read_all` over the whole archive, and `records_in_ticks`
+    /// over the chunks overlapping a random window.
     #[test]
     fn pipelined_matches_sequential(
         records in prop::collection::vec((0u64..100_000u64, 0u64..500u64), 0..400)
@@ -228,7 +293,7 @@ proptest! {
         victim_seed in any::<u64>(),
         byte_seed in any::<u64>(),
         flip in 1u8..=255,
-        workers in 1usize..9,
+        window in (0u64..10_000u64, 0u64..10_000u64),
     ) {
         let chunk = 256 << chunk_kib;
         let mut bytes = write_archive(&records, chunk, compress);
@@ -240,9 +305,29 @@ proptest! {
             bytes[at as usize] ^= flip;
         }
         let archive = Arc::new(Archive::from_bytes(bytes).expect("open"));
-        let (want_recs, want_report, _) = drain_sequential(&archive, Corruption::Skip);
-        let (got_recs, got_report, _) = drain_pipelined(&archive, Corruption::Skip, workers);
-        prop_assert_eq!(&got_recs, &want_recs);
-        prop_assert_eq!(&got_report, &want_report);
+        let full = drain_sequential(&archive, Corruption::Skip);
+        let (lo, hi) = (window.0, window.0 + window.1);
+        let all: Vec<usize> = (0..archive.chunks().len()).collect();
+        let selected: Vec<usize> = all
+            .iter()
+            .copied()
+            .filter(|&i| archive.chunks()[i].overlaps_ticks(lo, hi))
+            .collect();
+        for mode in [Corruption::Skip, Corruption::Fail] {
+            let want = restrict(&archive, &full, &all, mode);
+            prop_assert_eq!(&drain_sequential(&archive, mode), &want);
+            prop_assert_eq!(&drain_records(archive.records(mode)), &want);
+            for workers in [1usize, 2, 4] {
+                prop_assert_eq!(&drain_pipelined(&archive, mode, workers), &want);
+            }
+            if mode == Corruption::Skip {
+                let (records, report) = archive.read_all();
+                let got = Pass { records, report, error: None };
+                prop_assert_eq!(&got, &want);
+            }
+            let want = restrict(&archive, &full, &selected, mode);
+            let got = drain_records(archive.records_in_ticks(lo, hi, mode));
+            prop_assert_eq!(&got, &want);
+        }
     }
 }

@@ -11,10 +11,12 @@
 //!    survive verbatim, the skip is counted exactly once, and the
 //!    report names the damaged chunk.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use fstrace::{AccessMode, BlockRecordSource, FileId, OpenId, TraceEvent, TraceRecord, UserId};
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
+use fstrace::{AccessMode, FileId, OpenId, TraceEvent, TraceRecord, UserId};
+use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption, RecoveryReport};
 
 fn arb_mode() -> impl Strategy<Value = AccessMode> {
     prop_oneof![
@@ -200,6 +202,19 @@ fn write_archive(records: &[TraceRecord], chunk_target_bytes: usize, compress: b
     w.finish().expect("finish").0
 }
 
+/// Decodes the whole archive through the pipelined reader with `jobs`
+/// workers, skipping damaged chunks.
+fn read_pipelined(archive: &Arc<Archive>, jobs: usize) -> (Vec<TraceRecord>, RecoveryReport) {
+    let mut blocks = Arc::clone(archive).pipelined(Corruption::Skip, jobs);
+    let mut out = Vec::new();
+    for block in &mut blocks {
+        block
+            .expect("skip mode yields no errors")
+            .append_to(&mut out);
+    }
+    (out, blocks.report().clone())
+}
+
 proptest! {
     /// Write → read is bit-identical for arbitrary streams, any chunk
     /// size, compressed or not — sequentially and in parallel.
@@ -214,12 +229,12 @@ proptest! {
         // several chunks.
         let chunk = 256 << chunk_kib;
         let bytes = write_archive(&records, chunk, compress);
-        let archive = Archive::from_bytes(bytes).expect("open");
+        let archive = Arc::new(Archive::from_bytes(bytes).expect("open"));
         prop_assert_eq!(archive.meta().total_records, records.len() as u64);
         let (seq, report) = archive.read_all();
         prop_assert!(report.is_clean());
         prop_assert_eq!(&seq, &records);
-        let (par, report) = archive.decode_parallel(jobs);
+        let (par, report) = read_pipelined(&archive, jobs);
         prop_assert!(report.is_clean());
         prop_assert_eq!(&par, &records);
     }
@@ -250,7 +265,7 @@ proptest! {
         let at = info.offset + byte_seed % info.frame_len();
         bytes[at as usize] ^= flip;
 
-        let damaged = Archive::from_bytes(bytes).expect("open damaged");
+        let damaged = Arc::new(Archive::from_bytes(bytes).expect("open damaged"));
         let (got, report) = damaged.read_all();
         prop_assert_eq!(report.chunks_skipped(), 1, "exactly one chunk lost");
         prop_assert_eq!(report.bad_chunks[0].index, victim as u64);
@@ -270,7 +285,7 @@ proptest! {
         prop_assert_eq!(&got, &expected);
 
         // The parallel decoder reaches the same verdict.
-        let (par, preport) = damaged.decode_parallel(3);
+        let (par, preport) = read_pipelined(&damaged, 3);
         prop_assert_eq!(&par, &expected);
         prop_assert_eq!(preport.chunks_skipped(), 1);
     }
@@ -303,12 +318,12 @@ proptest! {
         let (batched, batched_report) = archive.read_all();
         prop_assert_eq!(&batched, &scalar);
         prop_assert_eq!(batched_report, scalar_report);
-        // The streaming block iterator agrees too, record for record.
-        let via_blocks: Vec<TraceRecord> =
-            BlockRecordSource::new(archive.blocks(Corruption::Skip))
-                .map(|r| r.expect("skip mode yields no errors"))
-                .collect();
-        prop_assert_eq!(&via_blocks, &scalar);
+        // The streaming record iterator agrees too, record for record.
+        let via_records: Vec<TraceRecord> = archive
+            .records(Corruption::Skip)
+            .map(|r| r.expect("skip mode yields no errors"))
+            .collect();
+        prop_assert_eq!(&via_records, &scalar);
     }
 
     /// Destroying the footer demotes the open to a scan that still

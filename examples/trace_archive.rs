@@ -12,6 +12,8 @@
 //! trace, archive it, flip a byte in a middle chunk, then recover and
 //! re-run a Section 5 analysis on what survived.
 
+use std::sync::Arc;
+
 use fsanalysis::run_analyzers;
 use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
 use workload::{generate, MachineProfile, WorkloadConfig};
@@ -64,16 +66,23 @@ fn main() {
 
     // 4. Reading in Fail mode surfaces the damage as an error that
     //    names the chunk — nothing is silently wrong.
-    let damaged = Archive::from_bytes(damaged_bytes).expect("reopen");
+    let damaged = Arc::new(Archive::from_bytes(damaged_bytes).expect("reopen"));
     let err = damaged
         .records(Corruption::Fail)
         .find_map(Result::err)
         .expect("corruption must surface");
     println!("fail-mode read reports: {err}");
 
-    // 5. Recovery: decode what survives (chunk-parallel), and get an
-    //    exact account of the loss.
-    let (records, report) = damaged.decode_parallel(4);
+    // 5. Recovery: decode what survives on four pipelined workers, and
+    //    get an exact account of the loss.
+    let mut blocks = Arc::clone(&damaged).pipelined(Corruption::Skip, 4);
+    let mut records = Vec::new();
+    for block in &mut blocks {
+        block
+            .expect("skip mode yields no errors")
+            .append_to(&mut records);
+    }
+    let report = blocks.report();
     println!(
         "recovered {} of {} records ({} chunk skipped, {} records lost)",
         records.len(),
