@@ -27,36 +27,50 @@
 //!   holds dirty), but it diverges *monotonically*: between accesses a
 //!   block's stack depth never decreases, so it crosses capacity
 //!   boundaries smallest-first and its per-capacity dirty flags form a
-//!   suffix of the capacity list. One `(policy, block)` record holding
-//!   the smallest still-dirty capacity index `m` and per-capacity dirty
-//!   timestamps reproduces write-through, flush-back (any interval), and
+//!   suffix of the capacity list. Per `(policy, block)`, the smallest
+//!   still-dirty capacity index `m` and per-capacity dirty timestamps
+//!   reproduce write-through, flush-back (any interval), and
 //!   delayed-write accounting bit-identically in the same single pass.
 //!
 //! What cannot be expressed: FIFO replacement (no inclusion property).
 //! Such cells — and subgroups of one cell, where a profile saves
 //! nothing — fall back to the direct [`crate::BlockCache`] simulator;
-//! [`crate::sweep::run_source`] does the partitioning.
+//! [`crate::sweep::run_source`] does the partitioning. Every replay
+//! fidelity profiles: a syscall- or open-fidelity [`ReplayEvent::Op`]
+//! is its covering block run, each block a reference whose writes
+//! count as whole, exactly as the direct replayer bills it.
 //!
-//! The order-statistic structure is a Fenwick tree over recency
-//! sequence numbers: depth queries and "who sits at depth `c`"
-//! selections are both O(log n) with n bounded by the largest tracked
-//! capacity (entries sinking past it are pruned — they are in no
-//! tracked cache, so a later reference is a cold miss everywhere, which
-//! is exactly what forgetting them produces).
+//! The recency stack is an intrusive doubly linked list (most recent
+//! first) of blocks and holes, with one **marker** per tracked
+//! capacity `caps[j]` pointing at the entry at depth exactly `caps[j]`,
+//! and each entry carrying its **level**: how many tracked capacities
+//! are smaller than its depth. A reference's miss class is its level;
+//! the entries it pushes across a capacity boundary are exactly the
+//! marker entries below that class (or below the shallowest hole's
+//! level), so each reference costs O(levels crossed) pointer steps.
+//! A block keeps its list node while it is tracked (a re-reference
+//! relinks the node at the head), so per-block dirty state lives in
+//! arrays indexed by node rather than in hash maps. Entries sinking
+//! past the largest capacity are pruned — they are in no tracked
+//! cache, so a later reference is a cold miss everywhere, which is
+//! exactly what forgetting them produces — so the list never outgrows
+//! that capacity.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use fstrace::{FastMap, FastSet, FileId, TraceRecord};
 use simstat::Distribution;
 
 use crate::cache::BlockId;
-use crate::config::{CacheConfig, Fidelity, Replacement, WritePolicy};
+use crate::config::{CacheConfig, Replacement, WritePolicy};
 use crate::metrics::CacheMetrics;
 use crate::replay::{EventExpander, ReplayEvent};
+use crate::sweep::ExpansionKey;
 
-/// Caps the Fenwick tree size; configurations this large fall back to
-/// direct simulation rather than risk `u32` sequence overflow.
+/// Largest profilable capacity: list nodes are indexed by `u32`, and
+/// the list holds at most the largest tracked capacity plus the entry
+/// being pushed. Larger configurations fall back to direct simulation.
 const MAX_TRACKED_BLOCKS: u64 = 1 << 30;
 
 /// Process-wide switch for the profiled sweep path (default on).
@@ -77,121 +91,58 @@ pub fn enabled() -> bool {
 }
 
 /// Whether a single configuration's metrics can be derived from a
-/// stack-distance profile (block fidelity, LRU replacement, sane
-/// capacity).
+/// stack-distance profile (LRU replacement, sane capacity), at any
+/// fidelity.
 ///
-/// The engine's per-block byte accounting models [`Fidelity::Block`]
-/// expansion only; syscall/open-fidelity cells always fall back to
-/// direct simulation. Profilable cells still need a *partner* sharing
-/// block size, elision, and invalidation settings before profiling
-/// beats a direct replay; that grouping is the sweep engine's job.
+/// Profilable cells still need a *partner* sharing block size,
+/// elision, and invalidation settings before profiling beats a direct
+/// replay; that grouping is the sweep engine's job.
 pub fn profilable(config: &CacheConfig) -> bool {
-    config.fidelity == Fidelity::Block
-        && config.replacement == Replacement::Lru
-        && config.capacity_blocks() < MAX_TRACKED_BLOCKS
+    config.replacement == Replacement::Lru && config.capacity_blocks() < MAX_TRACKED_BLOCKS
 }
 
-/// A Fenwick (binary indexed) tree over 0/1 occupancy of sequence
-/// slots, supporting prefix sums and rank selection in O(log n).
-struct Fenwick {
-    tree: Vec<u32>,
-    /// Tree capacity (`tree.len() - 1`), a power of two, so the select
-    /// walk starts at the root in one step.
-    top_bit: usize,
-}
+/// The null link of the recency list.
+const NIL: u32 = u32::MAX;
 
-impl Fenwick {
-    fn new(slots: usize) -> Self {
-        // Pad capacity to a power of two: `select` then needs no bounds
-        // check (every probe `pos + step` stays `<= cap`, because `pos`
-        // is a sum of distinct steps larger than `step`), which lets
-        // the walk run branch-free.
-        let cap = slots.next_power_of_two().max(1);
-        Fenwick {
-            tree: vec![0; cap + 1],
-            top_bit: cap,
-        }
-    }
-
-    /// Adds `delta` at sequence slot `seq` (0-based).
-    fn add(&mut self, seq: u32, delta: i32) {
-        let mut i = seq as usize + 1;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta as u32);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Number of occupied slots with sequence `<= seq`.
-    fn prefix(&self, seq: u32) -> u64 {
-        let mut i = seq as usize + 1;
-        let mut acc = 0u64;
-        while i > 0 {
-            acc += u64::from(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        acc
-    }
-
-    /// Smallest sequence slot whose prefix sum reaches `k` (`k >= 1`;
-    /// caller guarantees such a slot exists).
-    ///
-    /// The descent is branchless: each level turns "descend right?"
-    /// into a 0/1 mask, so the loop is a fixed log₂(cap) iterations of
-    /// straight-line arithmetic with no unpredictable branch — this
-    /// walk dominates the profiled sweep's per-access cost.
-    fn select(&self, k: u64) -> u32 {
-        let mut pos = 0usize;
-        let mut rem = k;
-        let mut step = self.top_bit;
-        while step > 0 {
-            // The root probe (`pos == 0`, `step == cap`) reads the
-            // whole-tree sum, which is `>= rem` by the caller's
-            // guarantee, so `pos + step` never exceeds `cap`.
-            let v = u64::from(self.tree[pos + step]);
-            let take = usize::from(v < rem);
-            rem -= v * take as u64;
-            pos += step & take.wrapping_neg();
-            step >>= 1;
-        }
-        pos as u32 // 1-based slot `pos + 1` → 0-based sequence `pos`.
-    }
-}
-
-/// What occupies one sequence slot of the recency stack.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SeqState {
-    /// Slot unused (never allocated, consumed, or pruned).
-    Empty,
+/// One entry of the recency list: a cached block, or a hole left by an
+/// invalidated one.
+struct Node {
+    /// Towards the most recent entry (`NIL` at the head).
+    prev: u32,
+    /// Towards the least recent entry (`NIL` at the tail); links the
+    /// free list while the node is unused.
+    next: u32,
+    /// Sequence of the node's last push to the head (a hole takes over
+    /// the sequence of the position it fills): list order is descending
+    /// `seq`.
+    seq: u64,
+    /// Number of tracked capacities smaller than the node's depth.
+    level: u32,
     /// An invalidated entry: keeps its position, owns no block.
-    Hole,
-    /// A live cached block.
-    Block(BlockId),
-}
-
-/// Per-(policy, block) dirty record.
-///
-/// `m` is the smallest capacity index at which the block is still
-/// dirty (capacities are sorted ascending, and dirtiness is a suffix:
-/// small caches evict-and-clean first). `t[i]` is the time the block
-/// became dirty in the capacity-`i` cache, valid for `i >= m` — the
-/// timestamps differ per capacity because a small cache that evicted
-/// and re-dirtied the block restarts its residency clock while a large
-/// cache's older clock keeps running.
-struct DirtyPart {
-    m: usize,
-    t: Vec<u64>,
+    hole: bool,
+    block: BlockId,
 }
 
 /// Dirty-block bookkeeping for one tracked write policy across all
 /// capacities (write-through needs none: its per-cell write traffic is
 /// capacity-independent and derived analytically).
+///
+/// The state is kept per list node: a block keeps its node for as long
+/// as it is tracked, so the node index names the block. `m[n]` is the
+/// smallest capacity index at which node `n`'s block is dirty, `K` when
+/// it is clean everywhere (capacities are sorted ascending, and
+/// dirtiness is a suffix: small caches evict-and-clean first).
+/// `t[n * K + i]` is the time it became dirty in the capacity-`i`
+/// cache, valid for `i >= m[n]` — the timestamps differ per capacity
+/// because a small cache that evicted and re-dirtied the block restarts
+/// its residency clock while a large cache's older clock keeps running.
 struct PolicyState {
     policy: WritePolicy,
     /// Flush interval for `FlushBack`, `None` otherwise.
     interval_ms: Option<u64>,
     last_flush_ms: u64,
-    dirty: FastMap<BlockId, DirtyPart>,
+    m: Vec<u32>,
+    t: Vec<u64>,
     /// Per capacity index: writebacks (flushes + evictions).
     disk_writes: Vec<u64>,
     /// Per capacity index: dirty blocks invalidated before any write.
@@ -227,13 +178,25 @@ pub struct StackEngine {
     cells: Vec<CellSpec>,
     pol: Vec<PolicyState>,
 
-    // The recency stack.
-    fen: Fenwick,
-    owner: Vec<SeqState>,
+    // The recency stack: a slab-backed list of blocks and holes.
+    nodes: Vec<Node>,
+    /// Head of the free-node list, linked through `Node::next`.
+    free: u32,
+    /// Most recent entry (depth 1).
+    head: u32,
+    /// Least recent entry (depth `active`).
+    tail: u32,
+    /// `markers[j]` is the entry at depth exactly `caps[j]`, `NIL` until
+    /// the list first holds `caps[j]` entries.
+    markers: Vec<u32>,
+    /// How many markers are placed (a prefix of `caps`).
+    placed: usize,
     blocks: FastMap<BlockId, u32>,
-    holes: BTreeSet<u32>,
+    /// Holes by sequence, so the last one is the shallowest.
+    holes: BTreeMap<u64, u32>,
+    /// List length, holes included.
     active: u64,
-    next_seq: u32,
+    next_seq: u64,
     per_file: FastMap<FileId, FastSet<u64>>,
 
     // Replay state mirroring `Replayer`.
@@ -251,13 +214,15 @@ pub struct StackEngine {
 
     tree_peak: u64,
     distances: u64,
+    /// Boundary crossings walked, summed over every reference.
+    marker_steps: u64,
 }
 
 impl StackEngine {
     /// Builds a profiler covering `cells`, or `None` when the cells are
     /// not jointly expressible: every cell must be [`profilable`] and
     /// all must share block size, whole-block elision, delete
-    /// invalidation, and expansion options (they consume one event
+    /// invalidation, and [`ExpansionKey`] (they consume one event
     /// stream). Any write policy mix is fine.
     pub fn try_new(cells: &[CacheConfig]) -> Option<StackEngine> {
         let first = cells.first()?;
@@ -266,8 +231,7 @@ impl StackEngine {
                 && c.block_size == first.block_size
                 && c.whole_block_elision == first.whole_block_elision
                 && c.invalidate_on_delete == first.invalidate_on_delete
-                && c.rw_handling == first.rw_handling
-                && c.simulate_paging == first.simulate_paging;
+                && ExpansionKey::of(c) == ExpansionKey::of(first);
             if !compatible {
                 return None;
             }
@@ -294,7 +258,8 @@ impl StackEngine {
                                     _ => None,
                                 },
                                 last_flush_ms: 0,
-                                dirty: FastMap::default(),
+                                m: Vec::new(),
+                                t: Vec::new(),
                                 disk_writes: vec![0; k],
                                 never_written: vec![0; k],
                                 residency: vec![Distribution::new(); k],
@@ -318,10 +283,14 @@ impl StackEngine {
             caps,
             cells,
             pol,
-            fen: Fenwick::new(64),
-            owner: vec![SeqState::Empty; 64],
+            nodes: Vec::new(),
+            free: NIL,
+            head: NIL,
+            tail: NIL,
+            markers: vec![NIL; k],
+            placed: 0,
             blocks: FastMap::default(),
-            holes: BTreeSet::new(),
+            holes: BTreeMap::new(),
             active: 0,
             next_seq: 0,
             per_file: FastMap::default(),
@@ -334,66 +303,123 @@ impl StackEngine {
             write_partial_split: vec![0; k + 1],
             tree_peak: 0,
             distances: 0,
+            marker_steps: 0,
         })
     }
 
-    /// Positional depth of sequence slot `seq`: 1 = most recent, holes
-    /// count.
-    fn depth(&self, seq: u32) -> u64 {
-        self.active - self.fen.prefix(seq) + 1
-    }
-
-    /// Sequence slot of the entry at positional depth `c` (1-based;
-    /// caller guarantees `c <= active`).
-    fn seq_at_depth(&self, c: u64) -> u32 {
-        self.fen.select(self.active - c + 1)
-    }
-
-    /// Renumbers live entries densely from 0, growing the slot arrays
-    /// when more than half full. Amortized O(1) per access: each
-    /// compaction reclaims at least half the slot space.
-    fn compact(&mut self) {
-        let live: Vec<(u32, SeqState)> = self
-            .owner
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, SeqState::Empty))
-            .map(|(i, s)| (i as u32, *s))
-            .collect();
-        let mut slots = self.owner.len();
-        while live.len() + 1 > slots / 2 {
-            slots *= 2;
+    /// A fresh unlinked node for block `id`, clean under every policy,
+    /// reusing a freed slot when one exists.
+    fn alloc(&mut self, id: BlockId) -> u32 {
+        let node = Node {
+            prev: NIL,
+            next: NIL,
+            seq: 0,
+            level: 0,
+            hole: false,
+            block: id,
+        };
+        if self.free != NIL {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            return n;
         }
-        self.fen = Fenwick::new(slots);
-        self.owner = vec![SeqState::Empty; slots];
-        self.holes.clear();
-        for (new_seq, (_, state)) in live.iter().enumerate() {
-            let new_seq = new_seq as u32;
-            self.owner[new_seq as usize] = *state;
-            self.fen.add(new_seq, 1);
-            match state {
-                SeqState::Hole => {
-                    self.holes.insert(new_seq);
-                }
-                SeqState::Block(id) => {
-                    self.blocks.insert(*id, new_seq);
-                }
-                SeqState::Empty => unreachable!(),
+        self.nodes.push(node);
+        let k = self.caps.len();
+        for ps in &mut self.pol {
+            ps.m.push(k as u32);
+            ps.t.resize(ps.t.len() + k, 0);
+        }
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Returns an unlinked node to the free list. Only clean nodes are
+    /// freed: pruned blocks and consumed holes.
+    fn free(&mut self, n: u32) {
+        debug_assert!(
+            self.pol
+                .iter()
+                .all(|ps| ps.m[n as usize] as usize == self.caps.len()),
+            "freed node must be clean everywhere"
+        );
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
+    }
+
+    /// Links node `n` at the head: depth 1, level 0, a fresh sequence.
+    fn push_front(&mut self, n: u32) {
+        let node = &mut self.nodes[n as usize];
+        node.prev = NIL;
+        node.next = self.head;
+        node.seq = self.next_seq;
+        node.level = 0;
+        self.next_seq += 1;
+        match self.head {
+            NIL => self.tail = n,
+            h => self.nodes[h as usize].prev = n,
+        }
+        self.head = n;
+        self.active += 1;
+    }
+
+    /// Unlinks node `n`. A marker sitting on it moves to its
+    /// predecessor, which the coming push shifts into its depth.
+    fn unlink(&mut self, n: u32) {
+        let Node {
+            prev, next, level, ..
+        } = self.nodes[n as usize];
+        if let Some(m) = self.markers.get_mut(level as usize) {
+            if *m == n {
+                *m = prev;
             }
         }
-        self.next_seq = live.len() as u32;
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            x => self.nodes[x as usize].prev = prev,
+        }
+        self.active -= 1;
     }
 
-    /// Drops the entry at `seq` from the tree entirely.
-    fn clear_slot(&mut self, seq: u32) {
-        self.owner[seq as usize] = SeqState::Empty;
-        self.fen.add(seq, -1);
-        self.active -= 1;
+    /// Puts unlinked hole node `h` in linked node `b`'s place, taking
+    /// over its position, sequence, level and marker, and leaves `b`
+    /// unlinked.
+    fn replace_with_hole(&mut self, b: u32, h: u32) {
+        let Node {
+            prev,
+            next,
+            seq,
+            level,
+            ..
+        } = self.nodes[b as usize];
+        let hole = &mut self.nodes[h as usize];
+        hole.prev = prev;
+        hole.next = next;
+        hole.seq = seq;
+        hole.level = level;
+        match prev {
+            NIL => self.head = h,
+            p => self.nodes[p as usize].next = h,
+        }
+        match next {
+            NIL => self.tail = h,
+            x => self.nodes[x as usize].prev = h,
+        }
+        if let Some(m) = self.markers.get_mut(level as usize) {
+            if *m == b {
+                *m = h;
+            }
+        }
+        self.holes.insert(seq, h);
     }
 
     /// Catch-up flush scans, mirroring `BlockCache::run_flush_if_due`:
     /// the schedule depends only on access times, never on capacity, so
-    /// one scan covers every capacity column at once.
+    /// one scan covers every capacity column at once. Like the direct
+    /// cache's scan of its own list, it visits every node.
     fn flush_if_due(&mut self, now_ms: u64) {
         let k = self.caps.len();
         for ps in &mut self.pol {
@@ -401,11 +427,12 @@ impl StackEngine {
                 continue;
             };
             if now_ms.saturating_sub(ps.last_flush_ms) >= interval_ms {
-                for (_, part) in ps.dirty.drain() {
-                    for i in part.m..k {
+                for (n, m) in ps.m.iter_mut().enumerate() {
+                    for i in *m as usize..k {
                         ps.disk_writes[i] += 1;
-                        ps.residency[i].add(now_ms.saturating_sub(part.t[i]), 1);
+                        ps.residency[i].add(now_ms.saturating_sub(ps.t[n * k + i]), 1);
                     }
+                    *m = k as u32;
                 }
                 ps.last_flush_ms = now_ms - (now_ms - ps.last_flush_ms) % interval_ms;
             }
@@ -421,19 +448,16 @@ impl StackEngine {
     /// smaller capacity boundary (cleaning those columns) before this
     /// one, and a re-dirtying write would have moved it back to the
     /// top.
-    fn evict_dirty(&mut self, victim: BlockId, j: usize, now_ms: u64) {
+    fn evict_dirty(&mut self, victim: u32, j: usize, now_ms: u64) {
         let k = self.caps.len();
+        let v = victim as usize;
         for ps in &mut self.pol {
-            if let Some(part) = ps.dirty.get_mut(&victim) {
-                debug_assert!(part.m >= j, "dirty suffix must start at or past {j}");
-                if part.m == j {
-                    ps.disk_writes[j] += 1;
-                    ps.residency[j].add(now_ms.saturating_sub(part.t[j]), 1);
-                    part.m = j + 1;
-                    if part.m == k {
-                        ps.dirty.remove(&victim);
-                    }
-                }
+            let m = &mut ps.m[v];
+            debug_assert!(*m as usize >= j, "dirty suffix must start at or past {j}");
+            if *m as usize == j {
+                ps.disk_writes[j] += 1;
+                ps.residency[j].add(now_ms.saturating_sub(ps.t[v * k + j]), 1);
+                *m += 1;
             }
         }
     }
@@ -441,18 +465,14 @@ impl StackEngine {
     /// One block reference: `write` is `None` for reads, else
     /// `Some(whole_block_overwrite)`.
     fn access(&mut self, id: BlockId, now_ms: u64, write: Option<bool>) {
-        if self.next_seq as usize == self.owner.len() {
-            self.compact();
-        }
         self.flush_if_due(now_ms);
         self.distances += 1;
 
-        let s_b = self.blocks.get(&id).copied();
-        let d = match s_b {
-            Some(s) => self.depth(s),
-            None => u64::MAX,
-        };
-        let k = self.caps.partition_point(|&c| c < d);
+        // The miss class: the block misses exactly the capacities below
+        // its depth, which is its level (all of them when untracked).
+        let last = self.caps.len() - 1;
+        let b = self.blocks.get(&id).copied();
+        let k = b.map_or(last + 1, |b| self.nodes[b as usize].level as usize);
         match write {
             None => {
                 self.total_reads += 1;
@@ -473,80 +493,85 @@ impl StackEngine {
         // at or beyond the block's depth do not move.
         let hole = self
             .holes
-            .iter()
-            .next_back()
-            .copied()
-            .filter(|&hs| s_b.is_none_or(|s| hs > s));
-        let bound = match hole {
-            Some(hs) => self.depth(hs),
-            None => d,
-        };
+            .last_key_value()
+            .map(|(&seq, &h)| (seq, h))
+            .filter(|&(seq, _)| b.is_none_or(|b| seq > self.nodes[b as usize].seq));
+        let bound = hole.map_or(k, |(_, h)| self.nodes[h as usize].level as usize);
 
         // Eviction walk: the entry at depth exactly `caps[j]` shifts to
         // `caps[j] + 1`, leaving the capacity-`j` window — for every
         // capacity below both the reuse depth (larger ones hit) and the
         // shallowest hole (those fill free space instead). Such entries
         // are valid blocks: no holes exist above the shallowest one.
-        let last = self.caps.len() - 1;
-        for j in 0..self.caps.len() {
-            let c = self.caps[j];
-            if c >= bound || c > self.active {
-                break;
-            }
-            let victim_seq = self.seq_at_depth(c);
-            let SeqState::Block(victim) = self.owner[victim_seq as usize] else {
-                unreachable!("entries above the shallowest hole are valid blocks");
-            };
-            self.evict_dirty(victim, j, now_ms);
+        // The marker then passes to the entry above, which the push
+        // shifts into depth `caps[j]`.
+        let mut j = 0;
+        while j < bound && self.markers[j] != NIL {
+            let v = self.markers[j];
+            let Node {
+                prev, hole, block, ..
+            } = self.nodes[v as usize];
+            debug_assert!(!hole, "entries above the shallowest hole are valid blocks");
+            self.evict_dirty(v, j, now_ms);
+            self.nodes[v as usize].level = j as u32 + 1;
+            self.markers[j] = prev;
             if j == last {
                 // Sunk past the largest tracked capacity: in no cache
                 // any more, so forget it — a future reference is a cold
                 // miss everywhere, which is exactly what the direct
-                // simulators see. Bounds the tree at `caps[last]`.
-                self.clear_slot(victim_seq);
-                self.blocks.remove(&victim);
-                if let Some(set) = self.per_file.get_mut(&victim.file) {
-                    set.remove(&victim.block);
+                // simulators see. Bounds the list at `caps[last]`.
+                self.unlink(v);
+                self.free(v);
+                self.blocks.remove(&block);
+                if let Some(set) = self.per_file.get_mut(&block.file) {
+                    set.remove(&block.block);
                     if set.is_empty() {
-                        self.per_file.remove(&victim.file);
+                        self.per_file.remove(&block.file);
                     }
                 }
-                debug_assert!(
-                    self.pol.iter().all(|ps| !ps.dirty.contains_key(&victim)),
-                    "pruned entry must be clean everywhere"
-                );
             }
+            j += 1;
         }
+        self.marker_steps += j as u64;
 
         // Restack: consume the shallowest hole above the block, leave a
         // hole at the block's old position when one was consumed (the
         // hole migrates down — net positions: entries above the old
-        // hole sink one, everything else stays), then push the block on
-        // top.
-        match (s_b, hole) {
-            (Some(s), Some(hs)) => {
-                self.holes.remove(&hs);
-                self.clear_slot(hs);
-                self.owner[s as usize] = SeqState::Hole;
-                self.holes.insert(s);
+        // hole sink one, everything else stays; the consumed hole's
+        // node takes over the block's position and level), then push
+        // the block's node on top.
+        let n = match (b, hole) {
+            (Some(b), Some((seq, h))) => {
+                self.holes.remove(&seq);
+                self.unlink(h);
+                self.replace_with_hole(b, h);
+                b
             }
-            (Some(s), None) => {
-                self.clear_slot(s);
+            (Some(b), None) => {
+                self.unlink(b);
+                b
             }
-            (None, Some(hs)) => {
-                self.holes.remove(&hs);
-                self.clear_slot(hs);
+            (None, hole) => {
+                if let Some((seq, h)) = hole {
+                    self.holes.remove(&seq);
+                    self.unlink(h);
+                    self.free(h);
+                }
+                let n = self.alloc(id);
+                self.blocks.insert(id, n);
+                self.per_file.entry(id.file).or_default().insert(id.block);
+                n
             }
-            (None, None) => {}
+        };
+        self.push_front(n);
+        if self.caps[0] == 1 {
+            self.markers[0] = n;
         }
-        let ns = self.next_seq;
-        self.next_seq += 1;
-        self.owner[ns as usize] = SeqState::Block(id);
-        self.fen.add(ns, 1);
-        self.active += 1;
-        self.blocks.insert(id, ns);
-        if s_b.is_none() {
-            self.per_file.entry(id.file).or_default().insert(id.block);
+        // A list that just grew to `caps[placed]` entries places that
+        // capacity's marker on its tail.
+        if self.placed <= last && self.caps[self.placed] == self.active {
+            self.markers[self.placed] = self.tail;
+            self.placed += 1;
         }
         self.tree_peak = self.tree_peak.max(self.active);
 
@@ -556,26 +581,12 @@ impl StackEngine {
         // dirtied-at times, exactly like the direct write-hit path.
         if write.is_some() {
             let k = self.caps.len();
+            let n = n as usize;
             for ps in &mut self.pol {
-                match ps.dirty.get_mut(&id) {
-                    Some(part) => {
-                        ps.dirtied_split[part.m] += 1;
-                        for i in 0..part.m {
-                            part.t[i] = now_ms;
-                        }
-                        part.m = 0;
-                    }
-                    None => {
-                        ps.dirtied_split[k] += 1;
-                        ps.dirty.insert(
-                            id,
-                            DirtyPart {
-                                m: 0,
-                                t: vec![now_ms; k],
-                            },
-                        );
-                    }
-                }
+                let m = ps.m[n] as usize;
+                ps.dirtied_split[m] += 1;
+                ps.t[n * k..n * k + m].fill(now_ms);
+                ps.m[n] = 0;
             }
         }
     }
@@ -586,19 +597,20 @@ impl StackEngine {
     /// was dirty, which is necessarily a subset of the columns whose
     /// cache held it.
     fn invalidate_block(&mut self, id: BlockId, now_ms: u64) {
-        let Some(seq) = self.blocks.remove(&id) else {
+        let Some(n) = self.blocks.remove(&id) else {
             return;
         };
-        self.owner[seq as usize] = SeqState::Hole;
-        self.holes.insert(seq);
+        let node = &mut self.nodes[n as usize];
+        node.hole = true;
+        self.holes.insert(node.seq, n);
         let k = self.caps.len();
+        let n = n as usize;
         for ps in &mut self.pol {
-            if let Some(part) = ps.dirty.remove(&id) {
-                for i in part.m..k {
-                    ps.never_written[i] += 1;
-                    ps.residency[i].add(now_ms.saturating_sub(part.t[i]), 1);
-                }
+            for i in ps.m[n] as usize..k {
+                ps.never_written[i] += 1;
+                ps.residency[i].add(now_ms.saturating_sub(ps.t[n * k + i]), 1);
             }
+            ps.m[n] = k as u32;
         }
     }
 
@@ -667,11 +679,23 @@ impl StackEngine {
                     }
                 }
             }
-            // Op-level events only exist at syscall/open fidelity,
-            // which `profilable` excludes; `try_new` therefore never
-            // builds an engine that could see one.
-            ReplayEvent::Op { .. } => {
-                unreachable!("stack profiling is block-fidelity only")
+            // Op-level replay (syscall/open fidelity): the covering
+            // block run, every write whole and no size bookkeeping,
+            // exactly like `Replayer::step`.
+            ReplayEvent::Op {
+                time_ms,
+                file,
+                offset,
+                len,
+                write,
+            } => {
+                if len == 0 {
+                    return;
+                }
+                let end = offset + len;
+                for block in offset / bs..=(end - 1) / bs {
+                    self.access(BlockId { file, block }, time_ms, write.then_some(true));
+                }
             }
             ReplayEvent::TruncateTo {
                 time_ms,
@@ -704,9 +728,9 @@ impl StackEngine {
         // End-of-run residency for still-dirty blocks, without disk
         // writes (`BlockCache::finish` semantics).
         for ps in &mut self.pol {
-            for (_, part) in ps.dirty.drain() {
-                for i in part.m..k {
-                    ps.residency[i].add(self.end_time.saturating_sub(part.t[i]), 1);
+            for (n, &m) in ps.m.iter().enumerate() {
+                for i in m as usize..k {
+                    ps.residency[i].add(self.end_time.saturating_sub(ps.t[n * k + i]), 1);
                 }
             }
         }
@@ -735,6 +759,8 @@ impl StackEngine {
         let reg = obs::global();
         reg.counter("cachesim.stack.distances_recorded")
             .add(self.distances);
+        reg.counter("cachesim.stack.marker_steps")
+            .add(self.marker_steps);
         reg.gauge("cachesim.stack.tree_nodes_peak")
             .record(self.tree_peak);
 
@@ -807,6 +833,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Fidelity;
     use crate::replay::{replay_events, Simulator};
     use fstrace::{AccessMode, Trace, TraceBuilder};
 
@@ -926,6 +953,12 @@ mod tests {
             ..lru.clone()
         };
         assert!(StackEngine::try_new(&[lru.clone(), other_bs]).is_none());
+        let syscall = CacheConfig {
+            fidelity: Fidelity::Syscall,
+            ..lru.clone()
+        };
+        assert!(profilable(&syscall));
+        assert!(StackEngine::try_new(&[lru.clone(), syscall]).is_none());
         let no_inval = CacheConfig {
             invalidate_on_delete: false,
             ..lru.clone()
@@ -954,9 +987,10 @@ mod tests {
     }
 
     #[test]
-    fn compaction_survives_long_reference_streams() {
+    fn pruning_survives_long_reference_streams() {
         // Far more distinct blocks than the largest capacity: forces
-        // pruning and repeated sequence-space compaction.
+        // repeated pruning past the largest capacity's marker and reuse
+        // of freed list nodes.
         let mut b = TraceBuilder::new();
         let u = b.new_user_id();
         for round in 0..4u64 {
@@ -969,6 +1003,115 @@ mod tests {
         }
         let cells = cells_for(&[2, 7, 16], &WritePolicy::TABLE_VI);
         assert_matches_direct(&b.finish(), &cells);
+    }
+
+    /// Whether some placed marker sits on a hole.
+    fn marker_on_hole(engine: &StackEngine) -> bool {
+        engine
+            .markers
+            .iter()
+            .any(|&m| m != NIL && engine.nodes[m as usize].hole)
+    }
+
+    #[test]
+    fn hole_under_a_marker_is_consumed_exactly() {
+        // Files 0..3 read once each (one block apiece): stack 3 2 1 0.
+        // Unlinking file 2 leaves a hole at depth 2, under the
+        // capacity-2 marker; the next reference (a new file 4)
+        // consumes it, so the marker must pass to the entry above:
+        // stack 4 3 1 0. Unlinking file 3 leaves a hole at depth 2
+        // again, and re-reading file 0 from under the capacity-4
+        // marker moves that hole to file 0's depth, so the marker must
+        // pass to the hole. A new file 5 consumes that hole, a new
+        // file 6 prunes the capacity-4 marker's entry (file 1, not
+        // file 0), and rewrites and re-reads expose any misplaced
+        // marker or level.
+        let mut b = TraceBuilder::new();
+        let u = b.new_user_id();
+        let files: Vec<FileId> = (0..7).map(|_| b.new_file_id()).collect();
+        for (i, &f) in files[..4].iter().enumerate() {
+            let t = i as u64 * 1_000;
+            let o = b.open(t, f, u, AccessMode::ReadOnly, 4_096, false);
+            b.close(t + 100, o, 4_096);
+        }
+        b.unlink(5_000, files[2], u);
+        let o = b.open(6_000, files[4], u, AccessMode::WriteOnly, 0, true);
+        b.close(6_100, o, 4_096);
+        b.unlink(7_000, files[3], u);
+        for (i, &f) in [0, 5, 6, 0, 1, 4, 0].iter().enumerate() {
+            let t = 10_000 + i as u64 * 1_000;
+            let o = b.open(t, files[f], u, AccessMode::ReadWrite, 4_096, false);
+            b.close(t + 100, o, 4_096);
+        }
+        let trace = b.finish();
+        let cells = cells_for(&[1, 2, 3, 4], &WritePolicy::TABLE_VI);
+        assert_matches_direct(&trace, &cells);
+
+        let events = replay_events(&trace, &cells[0]);
+        let mut engine = StackEngine::try_new(&cells).expect("profilable");
+        let unlink = events
+            .iter()
+            .position(|ev| matches!(ev, ReplayEvent::Delete { .. }))
+            .expect("the unlink replays");
+        for ev in &events[..=unlink] {
+            engine.step(ev);
+        }
+        assert!(marker_on_hole(&engine), "the hole sits under a marker");
+        for ev in &events[unlink + 1..] {
+            engine.step(ev);
+        }
+        assert!(engine.holes.is_empty(), "both holes were consumed");
+    }
+
+    #[test]
+    fn one_block_capacity_beside_larger_ones() {
+        // Capacity 1 keeps its marker on the head: back-to-back
+        // references hit it, alternation misses it, and a hole at
+        // depth 1 (the newest file deleted) is consumed with no walk.
+        let mut b = TraceBuilder::new();
+        let u = b.new_user_id();
+        let files: Vec<FileId> = (0..4).map(|_| b.new_file_id()).collect();
+        let mut t = 0;
+        for &f in &[0, 0, 1, 0, 1, 1, 2, 3, 3] {
+            let o = b.open(t, files[f], u, AccessMode::ReadWrite, 4_096, false);
+            b.close(t + 100, o, 4_096);
+            t += 1_000;
+        }
+        b.unlink(t, files[3], u);
+        for &f in &[1, 2, 2, 0, 1] {
+            t += 1_000;
+            let o = b.open(t, files[f], u, AccessMode::ReadOnly, 4_096, false);
+            b.close(t + 100, o, 4_096);
+        }
+        let trace = b.finish();
+        assert_matches_direct(&trace, &cells_for(&[1, 2, 64], &WritePolicy::TABLE_VI));
+        assert_matches_direct(
+            &busy_trace(),
+            &cells_for(&[1, 7, 9], &WritePolicy::TABLE_VI),
+        );
+    }
+
+    #[test]
+    fn op_fidelity_grids_with_truncates_and_unlinks_match() {
+        // busy_trace truncates one file and unlinks another; at syscall
+        // and open fidelity every `Op` is its covering block run with
+        // whole writes.
+        let trace = busy_trace();
+        for fidelity in [Fidelity::Syscall, Fidelity::Open] {
+            let cells: Vec<CacheConfig> = cells_for(&[1, 2, 3, 5, 8, 100], &WritePolicy::TABLE_VI)
+                .into_iter()
+                .map(|c| CacheConfig { fidelity, ..c })
+                .collect();
+            let events = replay_events(&trace, &cells[0]);
+            assert!(events.iter().any(|ev| matches!(ev, ReplayEvent::Op { .. })));
+            assert!(events
+                .iter()
+                .any(|ev| matches!(ev, ReplayEvent::TruncateTo { .. })));
+            assert!(events
+                .iter()
+                .any(|ev| matches!(ev, ReplayEvent::Delete { .. })));
+            assert_matches_direct(&trace, &cells);
+        }
     }
 
     #[test]

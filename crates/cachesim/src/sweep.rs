@@ -23,31 +23,35 @@
 //! [`run_source`] generalizes this to any replayable record stream —
 //! e.g. an incremental trace-file reader or the k-way server merge —
 //! without ever materializing the records themselves. Buffering is
-//! required only when a group has **more than one** cell (the expanded
-//! events are consumed once per cell); a single-cell group streams
+//! required only when a group has **more than one** task (the expanded
+//! events are consumed once per task); a single-cell group streams
 //! records through the [`crate::EventExpander`] directly into its
 //! simulator, holding O(open files) state.
 //!
-//! Within each expansion group, block-fidelity LRU cells sharing block
-//! size, elision, and invalidation settings differ only in capacity and
-//! write policy — exactly what the [`crate::stack`] profiler derives
-//! from **one** replay via stack distances. The stack engine models
-//! block-fidelity expansion only, so syscall/open-fidelity cells are
-//! explicit fallbacks ([`stack::profilable`]). The engine partitions
+//! Within each expansion group, LRU cells sharing block size, elision,
+//! and invalidation settings differ only in capacity and write policy —
+//! exactly what the [`crate::stack`] profiler derives from **one**
+//! replay via stack distances, at any fidelity. The engine partitions
 //! each group into such profile subgroups (two or more cells each) plus
-//! the remaining *direct* cells (other fidelities, FIFO replacement,
-//! partnerless parameter combos),
-//! turning an S-size × P-policy grid from S×P replays into one profiled
-//! pass plus the fallback cells. A group consisting of a single profile
-//! subgroup streams records straight into the profiler; mixed groups
-//! materialize the event vector once and run subgroups and direct cells
-//! side by side on the thread pool.
+//! the remaining *direct* cells (FIFO replacement, partnerless
+//! parameter combos), turning an S-size × P-policy grid from S×P
+//! replays into one profiled pass plus the fallback cells. A group
+//! consisting of a single profile subgroup streams records straight
+//! into the profiler; mixed groups materialize the event vector once
+//! and run subgroups and direct cells as separate tasks over it.
+//!
+//! Every group's work runs on one worker pool: streaming tasks (single
+//! cells and whole-group profiles, each re-reading the source) first,
+//! then the buffered groups' profiles and direct cells. The first
+//! worker to reach a buffered task runs the one shared expansion pass
+//! while any other worker needing it waits.
 //!
 //! The engine is dependency-free: plain [`std::thread::scope`] workers
 //! pulling indices from an atomic counter, defaulting to
 //! [`std::thread::available_parallelism`] threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 use fstrace::{Trace, TraceRecord};
@@ -128,13 +132,14 @@ pub fn run_with_jobs(
 /// `jobs` worker threads, expanding the stream once per
 /// [`ExpansionKey`] group.
 ///
-/// `source` may be called several times and must yield the same
-/// records, in time order, each call: once per *streaming* group (a
-/// single cell, or a group profiled whole), plus at most **one** call
-/// shared by every event-materializing group — their expanders all
-/// consume the same pass, so a mixed sweep never re-decodes the stream
-/// per buffered group. Each buffered group's event vector is
-/// materialized once and borrowed read-only by the thread pool.
+/// `source` may be called several times, from the worker threads, and
+/// must yield the same records, in time order, each call: once per
+/// *streaming* group (a single cell, or a group profiled whole), plus
+/// at most **one** call shared by every event-materializing group —
+/// their expanders all consume the same pass, so a mixed sweep never
+/// re-decodes the stream per buffered group. Each buffered group's
+/// event vector is materialized once and borrowed read-only by the
+/// pool.
 ///
 /// The result vector is ordered exactly like `configs`, and each entry
 /// is bit-identical to `Simulator::run` of that configuration over the
@@ -147,7 +152,7 @@ pub fn run_source<I, F>(
 where
     I: IntoIterator,
     I::Item: std::borrow::Borrow<TraceRecord>,
-    F: Fn() -> I,
+    F: Fn() -> I + Sync,
 {
     let reg = obs::global();
     let _sweep_timing = reg.span("cachesim.sweep.run").start();
@@ -168,7 +173,6 @@ where
         }
     }
 
-    let mut slots: Vec<Option<CacheMetrics>> = vec![None; configs.len()];
     let mut profiled_cells = 0u64;
     let mut fallback_cells = 0u64;
     // Groups that must materialize their event vector. They are
@@ -177,12 +181,12 @@ where
     // so a sweep with several event-materializing groups decodes (or
     // merges, or pipelines) the record stream once, not once per group.
     struct Buffered {
-        /// Config indices of the group (first entry keys the expander).
+        /// First config index of the group (keys the expander).
         first: usize,
         direct: Vec<usize>,
         subgroups: Vec<Vec<usize>>,
-        events: Vec<ReplayEvent>,
     }
+    let mut streamed: Vec<Task> = Vec::new();
     let mut buffered: Vec<Buffered> = Vec::new();
     for (_, idxs) in &groups {
         if let [i] = idxs.as_slice() {
@@ -190,9 +194,7 @@ where
             // records through the expander with no event buffering. A
             // profile of one cell would save nothing, so this counts
             // as a fallback when profiling is on.
-            slots[*i] = Some(timed_cell(&cell_span, &cell_us, || {
-                Simulator::run_stream(source(), &configs[*i])
-            }));
+            streamed.push(Task::Direct(None, *i));
             if stack::enabled() {
                 fallback_cells += 1;
             }
@@ -236,15 +238,8 @@ where
             // The whole group is one profile: stream records straight
             // through the expander into the profiler — one pass, no
             // event buffering, every capacity and policy at once.
-            let cell_idxs = &subgroups[0].1;
-            let cells: Vec<CacheConfig> = cell_idxs.iter().map(|&i| configs[i].clone()).collect();
-            let metrics = timed_cells(&cell_span, &cell_us, cells.len(), || {
-                stack::profile_stream(source(), &cells)
-                    .expect("partitioned subgroup cells are jointly profilable")
-            });
-            for (&i, m) in cell_idxs.iter().zip(metrics) {
-                slots[i] = Some(m);
-            }
+            let (_, cells) = subgroups.pop().expect("one subgroup");
+            streamed.push(Task::Profile(None, cells));
             continue;
         }
 
@@ -252,94 +247,103 @@ where
             first: idxs[0],
             direct,
             subgroups: subgroups.into_iter().map(|(_, cells)| cells).collect(),
-            events: Vec::new(),
         });
     }
 
-    if !buffered.is_empty() {
-        // One expansion pass shared by every buffered group: each
-        // record feeds each group's expander, each expander fills its
-        // own event vector for the workers to borrow read-only.
+    // One expansion pass shared by every buffered group, run by the
+    // first worker to reach a buffered task while the others wait:
+    // each record feeds each group's expander, each expander fills its
+    // own event vector for the workers to borrow read-only.
+    let events: OnceLock<Vec<Vec<ReplayEvent>>> = OnceLock::new();
+    let expand = || {
         let mut expanders: Vec<EventExpander> = buffered
             .iter()
             .map(|b| EventExpander::new(&configs[b.first]))
             .collect();
+        let mut events: Vec<Vec<ReplayEvent>> = vec![Vec::new(); buffered.len()];
         for rec in source() {
             let rec = std::borrow::Borrow::borrow(&rec);
-            for (b, ex) in buffered.iter_mut().zip(&mut expanders) {
-                ex.feed(rec, &mut |ev| b.events.push(ev));
+            for (out, ex) in events.iter_mut().zip(&mut expanders) {
+                ex.feed(rec, &mut |ev| out.push(ev));
             }
         }
+        events
+    };
 
-        // Profile subgroups first: they are the heaviest tasks, so
-        // they should start before the pool fills up with quick cells.
-        enum Task<'a> {
-            Profile(&'a [ReplayEvent], &'a [usize]),
-            Direct(&'a [ReplayEvent], usize),
+    // One task queue for the pool. Streaming tasks come first: each
+    // re-reads the source on its own and starts at once. Buffered
+    // profiles are the heaviest of the rest, so they start before the
+    // pool fills up with quick direct cells.
+    let tasks: Vec<Task> = streamed
+        .into_iter()
+        .chain(buffered.iter().enumerate().flat_map(|(g, b)| {
+            b.subgroups
+                .iter()
+                .map(move |cells| Task::Profile(Some(g), cells.clone()))
+        }))
+        .chain(
+            buffered
+                .iter()
+                .enumerate()
+                .flat_map(|(g, b)| b.direct.iter().map(move |&i| Task::Direct(Some(g), i))),
+        )
+        .collect();
+    let run_task = |task: &Task| -> Vec<(usize, CacheMetrics)> {
+        match task {
+            Task::Direct(group, i) => {
+                let config = &configs[*i];
+                let m = timed_cell(&cell_span, &cell_us, || match group {
+                    None => Simulator::run_stream(source(), config),
+                    Some(g) => Simulator::run_events(&events.get_or_init(expand)[*g], config),
+                });
+                vec![(*i, m)]
+            }
+            Task::Profile(group, cell_idxs) => {
+                let cells: Vec<CacheConfig> =
+                    cell_idxs.iter().map(|&i| configs[i].clone()).collect();
+                let metrics = timed_cells(&cell_span, &cell_us, cells.len(), || {
+                    match group {
+                        None => stack::profile_stream(source(), &cells),
+                        Some(g) => stack::profile_events(&events.get_or_init(expand)[*g], &cells),
+                    }
+                    .expect("partitioned subgroup cells are jointly profilable")
+                });
+                cell_idxs.iter().copied().zip(metrics).collect()
+            }
         }
-        let tasks: Vec<Task> = buffered
-            .iter()
-            .flat_map(|b| {
-                b.subgroups
-                    .iter()
-                    .map(|cells| Task::Profile(&b.events, cells))
-            })
-            .chain(
-                buffered
-                    .iter()
-                    .flat_map(|b| b.direct.iter().map(|&i| Task::Direct(&b.events, i))),
-            )
-            .collect();
-        let run_task = |task: &Task| -> Vec<(usize, CacheMetrics)> {
-            match *task {
-                Task::Direct(events, i) => vec![(
-                    i,
-                    timed_cell(&cell_span, &cell_us, || {
-                        Simulator::run_events(events, &configs[i])
-                    }),
-                )],
-                Task::Profile(events, cell_idxs) => {
-                    let cells: Vec<CacheConfig> =
-                        cell_idxs.iter().map(|&i| configs[i].clone()).collect();
-                    let metrics = timed_cells(&cell_span, &cell_us, cells.len(), || {
-                        stack::profile_events(events, &cells)
-                            .expect("partitioned subgroup cells are jointly profilable")
-                    });
-                    cell_idxs.iter().copied().zip(metrics).collect()
-                }
-            }
-        };
-        let workers = jobs.max(1).min(tasks.len());
-        if workers <= 1 {
-            for task in &tasks {
-                for (i, m) in run_task(task) {
-                    slots[i] = Some(m);
-                }
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let done = thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut out: Vec<(usize, CacheMetrics)> = Vec::new();
-                            loop {
-                                let n = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(task) = tasks.get(n) else { break };
-                                out.extend(run_task(task));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (i, m) in done {
+    };
+
+    let mut slots: Vec<Option<CacheMetrics>> = vec![None; configs.len()];
+    let workers = jobs.max(1).min(tasks.len());
+    if workers <= 1 {
+        for task in &tasks {
+            for (i, m) in run_task(task) {
                 slots[i] = Some(m);
             }
+        }
+    } else {
+        let next = AtomicUsize::new(0);
+        let done = thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut out: Vec<(usize, CacheMetrics)> = Vec::new();
+                        loop {
+                            let n = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(task) = tasks.get(n) else { break };
+                            out.extend(run_task(task));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        for (i, m) in done {
+            slots[i] = Some(m);
         }
     }
     if stack::enabled() {
@@ -356,6 +360,16 @@ where
         .collect();
     publish_sweep_totals(reg, groups.len(), &out);
     out
+}
+
+/// One unit of pool work. The group is `None` for a task that streams
+/// the source itself, else the index of the buffered group whose
+/// shared event vector it replays.
+enum Task {
+    /// A stack profile of two or more cells, by config index.
+    Profile(Option<usize>, Vec<usize>),
+    /// One directly simulated cell, by config index.
+    Direct(Option<usize>, usize),
 }
 
 /// Runs one profiled subgroup under wall-clock timing, attributing an
@@ -570,9 +584,10 @@ mod tests {
 
     #[test]
     fn mixed_fidelity_sweep_matches_sequential_runs() {
-        // A grid spanning all three fidelities in one call: block
-        // cells profile (or fall back), syscall/open cells always run
-        // direct — every result bit-identical to a sequential run.
+        // A grid spanning all three fidelities in one call: each
+        // fidelity's plane is one expansion group profiled as a
+        // streaming task — every result bit-identical to a sequential
+        // run.
         let trace = small_trace();
         let mut configs = Vec::new();
         for fidelity in Fidelity::ALL {

@@ -1,7 +1,8 @@
 //! Property-based tests for the block cache engine and the replay.
 
 use cachesim::{
-    replay_events, stack, sweep, BlockCache, CacheConfig, Replacement, Simulator, WritePolicy,
+    replay_events, stack, sweep, BlockCache, CacheConfig, Fidelity, Replacement, Simulator,
+    WritePolicy,
 };
 use fstrace::{AccessMode, FileId, OpenId, Trace, TraceBuilder, TraceEvent, TraceRecord, UserId};
 use proptest::prelude::*;
@@ -237,9 +238,17 @@ proptest! {
     /// write policy at every capacity of the paper's Figure 5 / Table
     /// VI axis (the 390 kB and 16 MB endpoints in 4 kB blocks) plus
     /// small capacities that force evictions, pruning, and hole
-    /// consumption on these short random traces.
+    /// consumption on these short random traces, at every replay
+    /// fidelity.
     #[test]
-    fn stack_profile_matches_direct_simulation(trace in arb_raw_trace()) {
+    fn stack_profile_matches_direct_simulation(
+        trace in arb_raw_trace(),
+        fidelity in prop_oneof![
+            Just(Fidelity::Block),
+            Just(Fidelity::Syscall),
+            Just(Fidelity::Open)
+        ],
+    ) {
         let caps_blocks = [1u64, 2, 3, 5, 8, 13, 97, 4096];
         let cells: Vec<CacheConfig> = caps_blocks
             .iter()
@@ -248,6 +257,7 @@ proptest! {
                     cache_bytes: blocks * 4096,
                     block_size: 4096,
                     write_policy: policy,
+                    fidelity,
                     ..CacheConfig::default()
                 })
             })

@@ -5,7 +5,9 @@
 //! tests in one binary run concurrently, and any other test that
 //! triggered an expansion would perturb a before/after diff.
 
-use cachesim::{replay_events, sweep, CacheConfig, EventExpander, WritePolicy};
+use cachesim::{
+    replay_events, sweep, CacheConfig, EventExpander, Fidelity, Simulator, WritePolicy,
+};
 use fstrace::{AccessMode, Trace, TraceBuilder};
 
 fn trace() -> Trace {
@@ -105,6 +107,39 @@ fn sweep_expands_once_per_group() {
         1,
         "12 same-key configs must share one expansion"
     );
+
+    // Syscall- and open-fidelity grids profile too: each is one
+    // expansion streamed into one stack pass, with no fallback cell.
+    for fidelity in [Fidelity::Syscall, Fidelity::Open] {
+        let cells: Vec<CacheConfig> = grid
+            .iter()
+            .map(|c| CacheConfig {
+                fidelity,
+                ..c.clone()
+            })
+            .collect();
+        let before_snap = obs::global().snapshot();
+        let before = cachesim::expansion_count();
+        let results = sweep::run_with_jobs(&trace, &cells, 2);
+        let after_snap = obs::global().snapshot();
+        let d = |name: &str| {
+            after_snap.counter(name).unwrap_or(0) - before_snap.counter(name).unwrap_or(0)
+        };
+        assert_eq!(
+            cachesim::expansion_count() - before,
+            1,
+            "a same-key {fidelity:?} grid shares one expansion"
+        );
+        assert_eq!(
+            d("cachesim.stack.profiled_cells"),
+            cells.len() as u64,
+            "every {fidelity:?} cell profiles"
+        );
+        assert_eq!(d("cachesim.stack.fallback_cells"), 0, "{fidelity:?}");
+        for (config, metrics) in &results {
+            assert_eq!(*metrics, Simulator::run(&trace, config), "{config:?}");
+        }
+    }
 
     // Block size is consumption-only: mixing block sizes still shares.
     // Each block size is a partnerless profile subgroup, so all four

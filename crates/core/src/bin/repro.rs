@@ -14,8 +14,11 @@
 //! experiment is pinned to block, and the `fidelity` experiment always
 //! runs all three levels side by side.
 //!
-//! --jobs N caps the worker threads the cache-simulation sweeps use
-//! (default: all available cores). Results are identical for any N.
+//! --jobs N sets the worker count of each cache-simulation sweep pool
+//! and of the archive decoder (default: all available cores). It does
+//! not cap the process's threads: the Section 6 plan runs the server
+//! sweep, with a pool of its own, and one analysis per trace on scoped
+//! threads beside the A5 sweep's pool. Results are identical for any N.
 //!
 //! --metrics PATH writes an `obs/v1` JSON snapshot of every internal
 //! metric (cache counters, codec throughput, workload generation,
@@ -86,6 +89,7 @@ fn main() {
                 println!(
                     "usage: repro [EXPERIMENT] [--hours H] [--seed S] [--jobs N] [--metrics PATH]\n\
                      \x20      [--archive DIR] [--fidelity open|syscall|block]\n\
+                     --jobs N: workers per sweep pool and archive decoder (not a thread cap)\n\
                      experiments: all table1 table3 table4 table5 fig1 fig2 fig3 fig4\n\
                      \x20            gaps table6 table7 fig7 residency compare ablations\n\
                      \x20            server fidelity"

@@ -97,6 +97,11 @@ fn obs_metrics_invariants() {
         );
         assert_eq!(d("cachesim.sweep.groups"), 7, "jobs={jobs}");
         assert_eq!(d("cachesim.sweep.cells"), cells, "jobs={jobs}");
+        // Every LRU cell with a partner profiles, at every fidelity.
+        // The five fallbacks: FIFO, elision off, invalidation off, and
+        // the two partnerless rw-billing variants.
+        assert_eq!(d("cachesim.stack.profiled_cells"), 112, "jobs={jobs}");
+        assert_eq!(d("cachesim.stack.fallback_cells"), 5, "jobs={jobs}");
         assert_eq!(
             d("cachesim.sweep.read_hits") + d("cachesim.sweep.read_misses"),
             d("cachesim.sweep.logical_reads"),
